@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .gf4 import ENUMERATION_CAP, AdditiveCode, dual
+from .gf4 import ENUMERATION_CAP, AdditiveCode
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,13 @@ class EnumeratorPair:
 def stabilizer_enumerators(code: AdditiveCode, cap: int = ENUMERATION_CAP) -> EnumeratorPair:
     """Enumerator pair of a self-orthogonal code.
 
-    The dual distribution is enumerated directly when the dual fits under the
-    cap and obtained by the MacWilliams transform otherwise.
+    The code itself is enumerated (it must fit under the cap); the dual
+    distribution always follows from it by the MacWilliams transform.
     """
     if not code.is_self_orthogonal:
         raise ValueError("code is not self-orthogonal")
     weights = hamming_weights(code, cap).counts
-    dual_size = 1 << (2 * code.n - code.rank)
-    if dual_size <= cap:
-        dual_weights = hamming_weights(dual(code), cap).counts
-    else:
-        dual_weights = macwilliams(weights, code.n, code.dim, "code_to_dual")
+    dual_weights = macwilliams(weights, code.n, code.dim, "code_to_dual")
     return EnumeratorPair(code.n, code.dim, weights, dual_weights)
 
 

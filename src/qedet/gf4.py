@@ -263,10 +263,6 @@ class AdditiveCode:
         return hash((self.n, self._canonical))
 
 
-def enumerate_codewords(code: AdditiveCode, cap: int = ENUMERATION_CAP) -> Iterator[GF4Vector]:
-    return code.codewords(cap)
-
-
 def dual(code: AdditiveCode) -> AdditiveCode:
     """Trace-inner-product dual; rank 2n - r, so |C| * |dual(C)| = 4^n."""
     n = code.n

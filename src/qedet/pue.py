@@ -8,8 +8,16 @@ detection measurement cannot see:
 
 The subspace-uniform functional for unrestricted codes equals K/(K+1) times
 this, and the completely-entangled-state functional equals it outright, so
-all three protocol modes share one evaluation path.  An exact-rational mode
-is available for tests; floating evaluation uses compensated summation.
+all three protocol modes share one polynomial.  The binomial-moment form is
+a second polynomial with the same value.
+
+Floats come from one numpy evaluator that sums a whole grid of p at once;
+every term is nonnegative, so the plain sum stays within a few ulps of a
+compensated one.  Terms that leave the normal float range (coefficients
+beyond 2^1000 and powers that underflow, as for codes with hundreds of
+qubits) are carried as a mantissa and an exact power of two.  Exact
+rationals (exact=True) come from one integer numerator: with p = a/b every
+term shares the denominator (3b)^n.
 """
 
 from __future__ import annotations
@@ -18,10 +26,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .gf4 import AdditiveCode, dual
 from .enumerators import EnumeratorPair
 
 MODES = ("stabilizer", "nonstabilizer", "composite", "moments")
+
+# Grid rows evaluated together; bounds the term matrices to rows x (n + 1).
+_ROW_CHUNK = 32
+# Powers of a mantissa in [1/2, 1) stay normal up to this exponent, and
+# coefficients below 2^_MAX_BITS times factors in (0, 1] cannot overflow.
+_MAX_POW = 1000
+_MAX_BITS = 1000
 
 
 def _check_p(p) -> None:
@@ -29,28 +46,99 @@ def _check_p(p) -> None:
         raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
 
 
-def _poly_eval(diffs, n: int, base_x, base_y, exact: bool):
-    """sum_i diffs[i] * base_y^i * base_x^(n-i), with exact Fractions on request."""
-    if exact:
-        bx, by = Fraction(base_x), Fraction(base_y)
-        return sum(
-            Fraction(d) * by**i * bx ** (n - i)
-            for i, d in enumerate(diffs) if d
-        ) or Fraction(0)
-    return math.fsum(
-        d * base_y**i * base_x ** (n - i)
-        for i, d in enumerate(diffs) if d
-    )
+def _split(d: int) -> tuple[float, int]:
+    """d as (mantissa, shift) with d ~ mantissa * 2^shift, correctly rounded."""
+    shift = max(d.bit_length() - _MAX_BITS, 0)
+    return d / (1 << shift), shift
+
+
+def _scaled_pow(base: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """base^k as (mantissa, exponent) with an exact integer exponent.
+
+    base is a column of nonnegative floats and k a row of exponents; the
+    mantissas lie in [1/2, 1) or are 0, so no power under- or overflows.
+    """
+    m, e = np.frexp(base)
+    exp = e * k
+    mant = np.ones(exp.shape)
+    left = k
+    while True:
+        step = np.minimum(left, _MAX_POW)
+        mant, de = np.frexp(mant * m**step)
+        exp += de
+        left = left - step
+        if not left.any():
+            return mant, exp
+
+
+def _grid_eval(diffs, n: int, base_x: np.ndarray, base_y: np.ndarray) -> np.ndarray:
+    """sum_i diffs[i] base_y^i base_x^(n-i) for each entry of the base arrays.
+
+    The bases must lie in [0, 1].  A chunk of rows whose terms all stay in
+    the normal float range is summed as plain products; any other chunk
+    goes through _scaled_pow, which agrees with the plain products wherever
+    they stay normal.
+    """
+    out = np.zeros(len(base_x))
+    cols = [i for i, d in enumerate(diffs) if d]
+    if not cols:
+        return out
+    i = np.array(cols)
+    split = [_split(diffs[c]) for c in cols]
+    mant_d = np.array([m for m, _ in split])
+    shift_d = np.array([s for _, s in split])
+    for lo in range(0, len(out), _ROW_CHUNK):
+        x = base_x[lo:lo + _ROW_CHUNK, None]
+        y = base_y[lo:lo + _ROW_CHUNK, None]
+        # Every nonzero base is >= 2^(e-1), so every power down to base^n,
+        # and every product of two, stays normal while n (1 - e) <= 1021.
+        min_exp = min(np.frexp(x)[1].min(), np.frexp(y)[1].min())
+        if not shift_d.any() and n * (1 - min_exp) <= 1021:
+            terms = mant_d * y**i * x ** (n - i)
+        else:
+            my, ey = _scaled_pow(y, i)
+            mx, ex = _scaled_pow(x, n - i)
+            terms = np.ldexp(mant_d * my * mx, shift_d + ey + ex)
+        out[lo:lo + _ROW_CHUNK] = terms.sum(axis=1)
+    return out
+
+
+def _exact_eval(diffs, n: int, x: int, y: int, denom: int) -> Fraction:
+    """sum_i diffs[i] (y/denom)^i (x/denom)^(n-i) as one Fraction.
+
+    The integer numerator sum_i diffs[i] y^i x^(n-i) is built by Horner's
+    rule in x: after step k it holds sum_{i<=k} diffs[i] y^i x^(k-i).
+    """
+    numerator, y_pow = 0, 1
+    for d in diffs:
+        numerator = numerator * x + d * y_pow
+        y_pow *= y
+    return Fraction(numerator, denom**n)
+
+
+def _stabilizer_diffs(pair: EnumeratorPair) -> list[int]:
+    return [bp - b for b, bp in zip(pair.weights, pair.dual_weights)]
+
+
+def _moment_diffs(pair: EnumeratorPair) -> list[int]:
+    return [mp - m for m, mp in zip(pair.moments, pair.dual_moments)]
+
+
+def _stabilizer_column(pair: EnumeratorPair, p: np.ndarray) -> np.ndarray:
+    return _grid_eval(_stabilizer_diffs(pair), pair.n, 1 - p, p / 3)
+
+
+def _moments_column(pair: EnumeratorPair, p: np.ndarray) -> np.ndarray:
+    return _grid_eval(_moment_diffs(pair), pair.n, 1 - 4 * p / 3, p / 3)
 
 
 def pue_stabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
     """Undetected-error probability of the plain detection protocol."""
     _check_p(p)
-    diffs = [bp - b for b, bp in zip(pair.weights, pair.dual_weights)]
     if exact:
-        pf = Fraction(p)
-        return _poly_eval(diffs, pair.n, 1 - pf, pf / 3, True)
-    return _poly_eval(diffs, pair.n, 1 - p, p / 3, False)
+        a, b = Fraction(p).as_integer_ratio()
+        return _exact_eval(_stabilizer_diffs(pair), pair.n, 3 * (b - a), a, 3 * b)
+    return float(_stabilizer_column(pair, np.array([float(p)]))[0])
 
 
 def pue_nonstabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
@@ -76,11 +164,10 @@ def pue_via_moments(pair: EnumeratorPair, p, *, exact: bool = False):
     sum_w (dual_moments[w] - moments[w]) (p/3)^w (1 - 4p/3)^(n-w).
     """
     _check_p(p)
-    diffs = [mp - m for m, mp in zip(pair.moments, pair.dual_moments)]
     if exact:
-        pf = Fraction(p)
-        return _poly_eval(diffs, pair.n, 1 - 4 * pf / 3, pf / 3, True)
-    return _poly_eval(diffs, pair.n, 1 - 4 * p / 3, p / 3, False)
+        a, b = Fraction(p).as_integer_ratio()
+        return _exact_eval(_moment_diffs(pair), pair.n, 3 * b - 4 * a, a, 3 * b)
+    return float(_moments_column(pair, np.array([float(p)]))[0])
 
 
 def pue_classical(counts, q: int, p, *, exact: bool = False):
@@ -94,9 +181,10 @@ def pue_classical(counts, q: int, p, *, exact: bool = False):
         raise ValueError(f"symbol error probability {p} outside [0, (q-1)/q]")
     diffs = [0] + [int(c) for c in counts[1:]]
     if exact:
-        pf = Fraction(p)
-        return _poly_eval(diffs, n, 1 - pf, pf / (q - 1), True)
-    return _poly_eval(diffs, n, 1 - p, p / (q - 1), False)
+        a, b = Fraction(p).as_integer_ratio()
+        return _exact_eval(diffs, n, (q - 1) * (b - a), a, (q - 1) * b)
+    grid = np.array([float(p)])
+    return float(_grid_eval(diffs, n, 1 - grid, grid / (q - 1))[0])
 
 
 def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
@@ -121,25 +209,28 @@ class PueResult:
     value: float
 
 
-_MODE_FUNCS = {
-    "stabilizer": pue_stabilizer,
-    "nonstabilizer": pue_nonstabilizer,
-    "composite": pue_composite,
-    "moments": pue_via_moments,
-}
-
-
 def sweep(pair: EnumeratorPair, p_grid, modes, code: str = "") -> list[PueResult]:
-    """Evaluate the requested modes on a probability grid, one row per (p, mode)."""
-    rows = []
+    """Evaluate the requested modes on a probability grid, one row per (p, mode).
+
+    The stabilizer polynomial is evaluated once over the whole grid and
+    serves the stabilizer, nonstabilizer and composite modes; the moment
+    form is evaluated once more when requested.
+    """
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
     for p in p_grid:
-        for mode in modes:
-            try:
-                fn = _MODE_FUNCS[mode]
-            except KeyError:
-                raise ValueError(f"unknown mode {mode!r}") from None
-            rows.append(PueResult(code, mode, float(p), float(fn(pair, p))))
-    return rows
+        _check_p(p)
+    grid = np.array([float(p) for p in p_grid])
+    columns = {}
+    if set(modes) - {"moments"}:
+        stab = _stabilizer_column(pair, grid)
+        columns["stabilizer"] = columns["composite"] = stab.tolist()
+        columns["nonstabilizer"] = (pair.dim / (pair.dim + 1) * stab).tolist()
+    if "moments" in modes:
+        columns["moments"] = _moments_column(pair, grid).tolist()
+    return [PueResult(code, mode, float(p), columns[mode][j])
+            for j, p in enumerate(p_grid) for mode in modes]
 
 
 def sweep_csv(rows) -> str:

@@ -1,0 +1,46 @@
+"""Term-by-term reference evaluations of the undetected-error polynomials.
+
+The library sums the polynomials over a whole p-grid with numpy (floats)
+or as one integer numerator (exact).  These are the slow forms it is
+checked against: math.fsum over one Python float term per weight, and an
+exact sum of one Fraction term per weight.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+
+def fsum_poly(diffs, n: int, base_x, base_y) -> float:
+    """sum_i diffs[i] base_y^i base_x^(n-i), compensated float summation."""
+    return math.fsum(d * base_y**i * base_x ** (n - i)
+                     for i, d in enumerate(diffs) if d)
+
+
+def fraction_poly(diffs, n: int, base_x, base_y) -> Fraction:
+    """sum_i diffs[i] base_y^i base_x^(n-i), one Fraction term at a time."""
+    bx, by = Fraction(base_x), Fraction(base_y)
+    return sum((Fraction(d) * by**i * bx ** (n - i)
+                for i, d in enumerate(diffs) if d), Fraction(0))
+
+
+def stabilizer_diffs(pair) -> list[int]:
+    return [bp - b for b, bp in zip(pair.weights, pair.dual_weights)]
+
+
+def moment_diffs(pair) -> list[int]:
+    return [mp - m for m, mp in zip(pair.moments, pair.dual_moments)]
+
+
+def reference_value(pair, p, mode: str, exact: bool = False):
+    """The seed library's value of one sweep mode at one p."""
+    poly = fraction_poly if exact else fsum_poly
+    p = Fraction(p) if exact else p
+    if mode == "moments":
+        return poly(moment_diffs(pair), pair.n, 1 - 4 * p / 3, p / 3)
+    value = poly(stabilizer_diffs(pair), pair.n, 1 - p, p / 3)
+    if mode == "nonstabilizer":
+        ratio = Fraction(pair.dim, pair.dim + 1) if exact else pair.dim / (pair.dim + 1)
+        return ratio * value
+    return value

@@ -76,6 +76,17 @@ def test_pue_sweep_csv(capsys):
     assert all(line.split(",")[1] == "composite" for line in lines[1:])
 
 
+def test_pue_hundreds_of_qubits(tmp_path, capsys):
+    # Bperp coefficients pass the float range from n = 512 on.
+    big = tmp_path / "big.code"
+    big.write_text("X" * 600 + "\n" + "Z" * 600 + "\n")
+    code, out, _ = run(capsys, "pue", str(big), "--sweep", "0:0.75:0.25")
+    assert code == 0
+    values = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
+    assert len(values) == 4 and values[0] == 0.0
+    assert all(0.0 < v <= 1.0 for v in values[1:])
+
+
 def test_pue_out_of_range_exits_1(capsys):
     code, _, err = run(capsys, "pue", "c422", "--p", "0.9")
     assert code == 1
@@ -124,6 +135,16 @@ def test_verify_all_catalog_codes(capsys):
         code, out, _ = run(capsys, "verify", name, "--samples", "4000",
                            "--seed", "1")
         assert code == 0, f"{name} failed:\n{out}"
+
+
+def test_verify_mc_band_does_not_collapse(capsys):
+    # This seed draws few undetected errors, so the estimate lies 4.79 of
+    # its own (shrunken) stderrs from the closed form, yet only 2.27 times
+    # the variance bound.
+    code, out, _ = run(capsys, "verify", "five13", "--samples", "20000",
+                       "--seed", "563333863")
+    assert code == 0
+    assert ",FAIL," not in out
 
 
 def test_verify_oracle_cap_message(tmp_path, capsys):

@@ -189,6 +189,14 @@ def _random_code(n: int, rank: int, rng) -> AdditiveCode:
     return code
 
 
+@st.composite
+def self_orthogonal_codes(draw, max_n: int = 8, max_dual_bits: int = 14):
+    """Random self-orthogonal codes whose dual has at most 2^max_dual_bits words."""
+    n = draw(st.integers(1, max_n))
+    rank = draw(st.integers(max(0, 2 * n - max_dual_bits), n))
+    return _random_code(n, rank, draw(st.randoms(use_true_random=False)))
+
+
 def test_codewords_count_and_uniqueness():
     code = parse_code("XXXX\nZZZZ")
     words = list(code.codewords())

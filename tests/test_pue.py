@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qedet.catalog import get_code
-from qedet.enumerators import stabilizer_enumerators
-from qedet.pue import (PueResult, pue_classical, pue_composite,
+from qedet.enumerators import EnumeratorPair, stabilizer_enumerators
+from qedet.gf4 import AdditiveCode
+from qedet.pue import (MODES, PueResult, pue_classical, pue_composite,
                        pue_nonstabilizer, pue_stabilizer,
                        pue_stabilizer_direct, pue_via_moments, sweep,
                        sweep_csv)
 
+from pue_reference import (fraction_poly, moment_diffs, reference_value,
+                           stabilizer_diffs)
+from test_gf4 import _random_code, self_orthogonal_codes
+
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
 GRID = [i * 0.75 / 19 for i in range(20)]
+GRID751 = [i / 1000 for i in range(751)]
+EPS = sys.float_info.epsilon
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +168,81 @@ def test_sweep_csv_round_trip(pairs):
         p, mode, value = line.split(",")
         parsed.append(PueResult("five13", mode, float(p), float(value)))
     assert parsed == rows  # shortest round-trip floats survive exactly
+
+
+# --- the grid and integer evaluators against term-by-term references ---------
+
+@pytest.fixture(scope="module")
+def shaped_pairs():
+    """Random codes of the sizes the benchmark's enumerate and closed-form
+    jobs use."""
+    rng = random.Random(7)
+    return [stabilizer_enumerators(_random_code(n, r, rng))
+            for n, r in ((12, 7), (24, 4), (48, 9), (60, 6), (72, 10), (96, 7))]
+
+
+def test_sweep_within_8_eps_of_fsum(pairs, shaped_pairs):
+    # Every term is nonnegative, so the numpy sum stays within a few ulps of
+    # the compensated sum of the same terms.
+    for pair in list(pairs.values()) + shaped_pairs:
+        for row in sweep(pair, GRID751, MODES):
+            want = reference_value(pair, row.p, row.mode)
+            assert abs(row.value - want) <= 8 * EPS * want, (pair.n, row)
+
+
+@st.composite
+def rationals(draw):
+    """A rational depolarizing probability in [0, 3/4]."""
+    b = draw(st.integers(1, 1000))
+    return Fraction(draw(st.integers(0, 3 * b // 4)), b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(self_orthogonal_codes(), st.lists(rationals(), min_size=1, max_size=150))
+def test_float_sweep_matches_exact_rationals(code, grid):
+    pair = stabilizer_enumerators(code)
+    rows = sweep(pair, [float(p) for p in grid], MODES)
+    expected = [reference_value(pair, p, mode, exact=True)
+                for p in grid for mode in MODES]
+    for row, want in zip(rows, expected, strict=True):
+        assert row.value == pytest.approx(float(want), rel=1e-9, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(self_orthogonal_codes(), rationals())
+def test_integer_numerator_matches_fraction_sum(code, p):
+    pair = stabilizer_enumerators(code)
+    stab = fraction_poly(stabilizer_diffs(pair), pair.n, 1 - p, p / 3)
+    assert pue_stabilizer(pair, p, exact=True) == stab
+    assert pue_composite(pair, p, exact=True) == stab
+    assert pue_nonstabilizer(pair, p, exact=True) == \
+        Fraction(pair.dim, pair.dim + 1) * stab
+    assert pue_via_moments(pair, p, exact=True) == \
+        fraction_poly(moment_diffs(pair), pair.n, 1 - 4 * p / 3, p / 3)
+    assert pue_classical(pair.dual_weights, 4, p, exact=True) == \
+        fraction_poly((0,) + pair.dual_weights[1:], pair.n, 1 - p, p / 3)
+
+
+@pytest.mark.parametrize("n", [512, 600, 1024, 2048])
+def test_hundreds_of_qubits_do_not_overflow(n):
+    # The code with no generators detects nothing: B = e_0,
+    # Bperp_i = C(n, i) 3^i, and P_ue = 1 - (1 - p)^n.  The coefficients
+    # pass 2^1024 from n = 512 on, and the powers of p/3 underflow.
+    pair = stabilizer_enumerators(AdditiveCode(n, ()))
+    assert pair.dual_weights == tuple(math.comb(n, i) * 3**i for i in range(n + 1))
+    grid = [0.001, 0.1, 0.5, 0.75]
+    for row in sweep(pair, grid, ["stabilizer", "nonstabilizer", "composite"]):
+        want = 1 - (1 - Fraction(row.p)) ** n
+        if row.mode == "nonstabilizer":
+            want *= Fraction(pair.dim, pair.dim + 1)
+        assert row.value == pytest.approx(float(want), rel=1e-9)
+    for p in grid:
+        assert pue_stabilizer(pair, p) == pytest.approx(1 - (1 - p) ** n, rel=1e-9)
+
+
+def test_underflowing_powers_are_rescaled():
+    # All of P_ue sits at weight 300: 3^300 (p/3)^300 = p^300, a normal
+    # float at p = 1/10 although (p/3)^300 underflows.
+    n = 300
+    pair = EnumeratorPair(n, 1, (1,) + (0,) * n, (1,) + (0,) * (n - 1) + (3**n,))
+    assert pue_stabilizer(pair, 0.1) == pytest.approx(0.1**n, rel=1e-9)
