@@ -17,11 +17,10 @@ from .enumerators import (EnumeratorPair, WeightDistribution, binomial_moments,
 from .pue import (pue_classical, pue_composite, pue_nonstabilizer,
                   pue_stabilizer, pue_stabilizer_direct, pue_via_moments,
                   sweep, sweep_csv)
-from .oracle import (classify_error, classify_error_dense, close_group,
-                     code_projector, enumerators_bruteforce, partial_trace,
-                     pauli_matrix, projector, pue_composite_exact,
-                     pue_nonstab_mc, uniform_state, verify_fourth_moment,
-                     verify_mean_projector)
+from .oracle import (classify_error, classify_error_dense, code_projector,
+                     enumerators_bruteforce, partial_trace, pauli_matrix,
+                     pue_composite_exact, pue_nonstab_mc, uniform_state,
+                     verify_fourth_moment, verify_mean_projector)
 from .chansim import SimReport, measure, sample_error, simulate
 from .catalog import CATALOG, get_code
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf4 import AdditiveCode, GF4Vector
-from .oracle import (DEFAULT_ORACLE_CAP, DenseOperator, code_projector,
-                     pauli_matrix, uniform_state)
+from .gf4 import AdditiveCode
+from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _pauli_action, _shard_rng,
+                     _split, code_projector, sample_error, uniform_state)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -67,22 +67,6 @@ class SimReport:
         return json.dumps(self.to_dict())
 
 
-def sample_error(n: int, p: float, rng: np.random.Generator) -> GF4Vector:
-    """One depolarizing-channel error: each position is hit independently
-    with probability p and then uniform over the three nonzero symbols."""
-    if not 0 <= p <= 0.75:
-        raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
-    x = z = 0
-    hit = rng.random(n) < p
-    kinds = rng.integers(0, 3, size=n)
-    for q in range(n):
-        if hit[q]:
-            xb, zb = ((1, 0), (0, 1), (1, 1))[kinds[q]]
-            x |= xb << q
-            z |= zb << q
-    return GF4Vector(n, x, z)
-
-
 def measure(state: np.ndarray, projectors, rng: np.random.Generator):
     """Born-rule measurement: pick projector i with probability <v|P_i|v>.
 
@@ -115,30 +99,20 @@ def simulate(code: AdditiveCode, p: float, trials: int,
         raise ValueError("trials must be positive")
     if shards < 1:
         raise ValueError("shards must be positive")
-    if not 0 <= p <= 0.75:
-        raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
+    _check_p(p)
 
     p_op = code_projector(code, cap)
-    dim_total = p_op.shape[0]
-    identity = np.eye(dim_total, dtype=complex)
-    p_perp = identity - p_op
-    err_cache: dict[tuple[int, int], DenseOperator] = {}
+    p_perp = np.eye(p_op.shape[0], dtype=complex) - p_op
 
-    base, extra = divmod(trials, shards)
     undetected = detected = trivial = 0
-    for shard in range(shards):
-        m = base + (1 if shard < extra else 0)
+    for shard, m in enumerate(_split(trials, shards)):
         if m == 0:
             continue
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(shard,))))
+        rng = _shard_rng(seed, shard)
         for _ in range(m):
             v = uniform_state(p_op, rng)
-            e = sample_error(code.n, p, rng)
-            key = (e.x, e.z)
-            if key not in err_cache:
-                err_cache[key] = pauli_matrix(e, cap)
-            w = err_cache[key] @ v
+            rows, phases = _pauli_action(sample_error(code.n, p, rng))
+            w = phases * v[rows]
 
             # For a stabilizer code the first measurement never splits.
             prob_code = float(np.real(np.vdot(w, p_op @ w)))

@@ -45,7 +45,11 @@ def _load_code(ref: str) -> AdditiveCode:
     path = Path(ref)
     if not path.exists():
         raise CodeFormatError(f"no catalog entry or file named {ref!r}")
-    return parse_code(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CodeFormatError(f"cannot read {ref!r}: {exc}") from None
+    return parse_code(text)
 
 
 def _parse_sweep(text: str) -> list[float]:

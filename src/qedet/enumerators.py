@@ -146,12 +146,19 @@ def macwilliams(counts, n: int, dim: int, direction: str) -> tuple[int, ...]:
 
 
 def binomial_moments(counts, n: int) -> tuple[int, ...]:
-    """Binomial moments M_w = sum_{i<=w} counts[i] * C(n-i, n-w), exact."""
+    """Binomial moments M_w = sum_{i<=w} counts[i] * C(n-i, n-w), exact.
+
+    M_w is the coefficient of t^(n-w) in sum_i counts[i] (1+t)^(n-i), a
+    Taylor shift built by Horner's rule in (1+t) with additions only.
+    """
     counts = tuple(counts)
-    return tuple(
-        sum(counts[i] * math.comb(n - i, n - w) for i in range(w + 1))
-        for w in range(n + 1)
-    )
+    if len(counts) != n + 1:
+        raise ValueError(f"need {n + 1} counts for length {n}, got {len(counts)}")
+    acc: list[int] = []
+    for c in counts:
+        acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += c
+    return tuple(reversed(acc))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Dense complex-matrix ground truth for small qubit counts.
 
 Everything the combinatorial modules compute can be recomputed here from
-2^n x 2^n matrices: Pauli tensor products (with explicit phase tracking,
-which the bit-plane representation deliberately drops), stabilizer
-projectors, the trace-formula weight enumerators, the three-way error
-classification, partial traces, uniform sampling on the stabilized
-subspace, and exact or Monte Carlo evaluation of the undetected-error
-functionals.  All of it is capped at a handful of qubits by design.
+2^n x 2^n matrices: Pauli operators as monomial matrices (a permutation of
+the basis times phases i^k, built from the bit planes), stabilizer
+projectors as the product of (I + G)/2 over the generators, the
+trace-formula weight enumerators, the three-way error classification,
+partial traces, uniform sampling on the stabilized subspace, and exact or
+Monte Carlo evaluation of the undetected-error functionals.  All of it is
+capped at a handful of qubits by design.
 
 Sharded Monte Carlo estimators draw shard s from
 numpy's PCG64 seeded with SeedSequence(seed, spawn_key=(s,)), so results
@@ -28,31 +29,7 @@ DenseOperator = np.ndarray
 DEFAULT_ORACLE_CAP = 6
 COMPOSITE_CAP = 4
 
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
-_PHASE_OF = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
-
-
-def _build_phase_table() -> dict:
-    """Exponent e of i in M_a M_b = i^e M_(a+b), from the 2x2 matrices themselves."""
-    table = {}
-    for a, ma in _SINGLE.items():
-        for b, mb in _SINGLE.items():
-            c = (a[0] ^ b[0], a[1] ^ b[1])
-            prod = ma @ mb
-            mc = _SINGLE[c]
-            i, j = np.argwhere(mc != 0)[0]
-            ratio = prod[i, j] / mc[i, j]
-            table[a, b] = _PHASE_OF[complex(round(ratio.real), round(ratio.imag))]
-    return table
-
-
-_PHASE_EXP = _build_phase_table()
+_PHASES = np.array([1, 1j, -1, -1j])
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -60,12 +37,42 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} exceeds the dense oracle cap of {cap} qubits")
 
 
-def pauli_matrix(v: GF4Vector, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
-    """Kronecker product of single-qubit matrices, with the bare '+' phase."""
-    _check_cap(v.n, cap)
-    m = np.ones((1, 1), dtype=complex)
+def _check_p(p: float) -> None:
+    if not 0 <= p <= 0.75:
+        raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
+
+
+def _shard_rng(seed: int, shard: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(shard,))))
+
+
+def _split(total: int, shards: int) -> list[int]:
+    base, extra = divmod(total, shards)
+    return [base + (1 if i < extra else 0) for i in range(shards)]
+
+
+def _pauli_action(v: GF4Vector) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and phases with (E @ A) == phases[:, None] * A[rows] for E = P_v.
+
+    P|j> = i^|x&z| (-1)^|j&z| |j^x>, where qubit q is index bit n-1-q, as in
+    the Kronecker product of the single-qubit factors in qubit order.
+    """
+    x = z = 0
     for q in range(v.n):
-        m = np.kron(m, _SINGLE[v.symbol(q)])
+        x = (x << 1) | ((v.x >> q) & 1)
+        z = (z << 1) | ((v.z >> q) & 1)
+    rows = np.arange(1 << v.n) ^ x
+    parity = (np.bitwise_count(rows & z) & 1).astype(np.int64)
+    return rows, _PHASES[((x & z).bit_count() + 2 * parity) % 4]
+
+
+def pauli_matrix(v: GF4Vector, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
+    """Dense matrix of the Pauli word v with the bare '+' phase."""
+    _check_cap(v.n, cap)
+    rows, phases = _pauli_action(v)
+    m = np.zeros((len(rows), len(rows)), dtype=complex)
+    m[np.arange(len(rows)), rows] = phases
     return m
 
 
@@ -74,103 +81,43 @@ def error_probability(v: GF4Vector, p: float) -> float:
     return (p / 3) ** v.weight * (1 - p) ** (v.n - v.weight)
 
 
-@dataclass(frozen=True)
-class SignedPauliGroup:
-    """Closure of commuting generators with tracked +-1 signs.
-
-    Each element is a (sign, word) pair; the group is Abelian, contains the
-    positive identity, and never contains minus the identity.
-    """
-
-    n: int
-    elements: tuple[tuple[int, GF4Vector], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def rank(self) -> int:
-        return self.size.bit_length() - 1
-
-
-def _mul_phase(v1: GF4Vector, v2: GF4Vector) -> int:
-    """Exponent of i picked up when multiplying the bare representatives."""
-    exp = 0
-    for q in range(v1.n):
-        exp += _PHASE_EXP[v1.symbol(q), v2.symbol(q)]
-    return exp & 3
-
-
-def close_group(generators, n: int | None = None) -> SignedPauliGroup:
-    """All products of the generators, each taken with sign +1.
-
-    Raises if the generators do not pairwise commute or if the closure would
-    contain minus the identity (possible only for dependent generators).
-    """
-    generators = list(generators)
-    if n is None:
-        if not generators:
-            raise ValueError("empty generator list needs an explicit n")
-        n = generators[0].n
-    for g in generators:
-        if g.n != n:
-            raise ValueError("generator length mismatch")
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            if trace_inner(generators[i], generators[j]):
-                raise ValueError("generators do not commute")
-
-    elements: dict[tuple[int, int], int] = {(0, 0): 0}  # (x, z) -> phase exp
-    vecs: dict[tuple[int, int], GF4Vector] = {(0, 0): GF4Vector.zero(n)}
-    for g in generators:
-        key = (g.x, g.z)
-        if key in elements:
-            if elements[key] != 0:
-                raise ValueError("closure contains minus the identity")
-            continue
-        coset = {}
-        for k, exp in elements.items():
-            prod = vecs[k] + g
-            pexp = (exp + _mul_phase(vecs[k], g)) & 3
-            if pexp & 1:
-                raise ValueError("odd phase in an Abelian closure")
-            coset[prod.x, prod.z] = pexp
-            vecs[prod.x, prod.z] = prod
-        elements.update(coset)
-
-    ordered = tuple(
-        (1 if elements[k] == 0 else -1, vecs[k]) for k in sorted(elements)
-    )
-    return SignedPauliGroup(n, ordered)
-
-
-def projector(group: SignedPauliGroup, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
-    """Orthogonal projector (1/|S|) sum of the signed group elements.
-
-    Validates idempotence, Hermiticity, and trace 2^n / |S|; a failure means
-    the sign bookkeeping went wrong somewhere upstream.
-    """
-    _check_cap(group.n, cap)
-    dim = 1 << group.n
-    p = np.zeros((dim, dim), dtype=complex)
-    for sign, v in group.elements:
-        p += sign * pauli_matrix(v, cap)
-    p /= group.size
-    if np.max(np.abs(p - p.conj().T)) > 1e-10:
-        raise ValueError("projector is not Hermitian; bad sign bookkeeping")
-    if np.max(np.abs(p @ p - p)) > 1e-10:
-        raise ValueError("projector is not idempotent; bad sign bookkeeping")
-    if abs(np.trace(p) - dim / group.size) > 1e-8:
-        raise ValueError("projector has the wrong trace; bad sign bookkeeping")
-    return p
+def sample_error(n: int, p: float, rng: np.random.Generator) -> GF4Vector:
+    """One depolarizing-channel error: each position is hit independently
+    with probability p and then uniform over the three nonzero symbols."""
+    _check_p(p)
+    x = z = 0
+    hit = rng.random(n) < p
+    kinds = rng.integers(0, 3, size=n)
+    for q in range(n):
+        if hit[q]:
+            xb, zb = ((1, 0), (0, 1), (1, 1))[kinds[q]]
+            x |= xb << q
+            z |= zb << q
+    return GF4Vector(n, x, z)
 
 
 def code_projector(code: AdditiveCode, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
-    """Projector on the subspace stabilized by a self-orthogonal code."""
+    """Projector prod_g (I + G)/2 on the subspace stabilized by a
+    self-orthogonal code, one factor per generator.
+
+    The generators commute, so the factors are commuting projectors and
+    every entry is dyadic, hence exact.  Hermiticity, idempotence and
+    trace K = 2^(n-r) are checked all the same.
+    """
     if not code.is_self_orthogonal:
         raise ValueError("code is not self-orthogonal")
-    return projector(close_group(code.generators, n=code.n), cap)
+    _check_cap(code.n, cap)
+    p = np.eye(1 << code.n, dtype=complex)
+    for g in code.generators:
+        rows, phases = _pauli_action(g)
+        p = (p + phases[:, None] * p[rows]) / 2
+    if np.max(np.abs(p - p.conj().T)) > 1e-10:
+        raise ValueError("projector is not Hermitian")
+    if np.max(np.abs(p @ p - p)) > 1e-10:
+        raise ValueError("projector is not idempotent")
+    if abs(np.trace(p) - code.dim) > 1e-8:
+        raise ValueError("projector has the wrong trace")
+    return p
 
 
 def enumerators_bruteforce(p_op: DenseOperator, dim: int,
@@ -188,7 +135,8 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
     b_acc = np.zeros(n + 1, dtype=complex)
     bp_acc = np.zeros(n + 1, dtype=complex)
     for v in all_vectors(n):
-        a = pauli_matrix(v, cap) @ p_op
+        rows, phases = _pauli_action(v)
+        a = phases[:, None] * p_op[rows]
         b_acc[v.weight] += np.trace(a) ** 2
         bp_acc[v.weight] += np.sum(a * a.T)
     b_acc /= dim * dim
@@ -227,7 +175,9 @@ def classify_error(code: AdditiveCode, e: GF4Vector) -> str:
 def classify_error_dense(p_op: DenseOperator, e: GF4Vector, tol: float = 1e-10,
                          cap: int = DEFAULT_ORACLE_CAP) -> str:
     """Matrix version of classify_error, from the action of E on the subspace."""
-    ep = pauli_matrix(e, cap) @ p_op
+    _check_cap(e.n, cap)
+    rows, phases = _pauli_action(e)
+    ep = phases[:, None] * p_op[rows]
     if np.max(np.abs(p_op @ ep)) < tol:
         return DETECTED
     if np.max(np.abs(ep - p_op @ ep)) >= tol:
@@ -303,8 +253,7 @@ def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
     sample_block(count) must return the SUM of `count` fresh sample matrices.
     """
     blocks = max(1, min(blocks, total))
-    base, extra = divmod(total, blocks)
-    sizes = [base + (1 if i < extra else 0) for i in range(blocks)]
+    sizes = _split(total, blocks)
     sums = [sample_block(m) for m in sizes]
     full = np.sum(sums, axis=0)
     deviation = float(np.linalg.norm(full / total - target))
@@ -396,16 +345,6 @@ class MCEstimate:
     p: float
 
 
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=(shard,))))
-
-
-def _split(total: int, shards: int) -> list[int]:
-    base, extra = divmod(total, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
 def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
                    seed: int = 0, shards: int = 1,
                    cap: int = DEFAULT_ORACLE_CAP, chunk: int = 256) -> MCEstimate:
@@ -414,20 +353,23 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     Averages sum_E Pr(E) ||(I - vv*) P E v||^2 over uniform subspace states.
     The error sum is exact over all 4^n errors for n <= 4 and sampled from
     the channel otherwise.  The identity error term is identically zero
-    (P v = v on the subspace) and is skipped, so p = 0 gives exactly 0.
+    (P v = v on the subspace) and is skipped, so p = 0 gives exactly 0, as
+    does n = 0, where no other error exists.
     """
-    if not 0 <= p <= 0.75:
-        raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
+    _check_p(p)
     if samples < 1 or shards < 1:
         raise ValueError("samples and shards must be positive")
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
 
+    if n == 0:
+        return MCEstimate(0.0, 0.0, samples, seed, shards, p)
     exact_errors = n <= 4
     if exact_errors:
         errs = [v for v in all_vectors(n) if not v.is_zero]
-        pe_stack = np.stack([p_op @ pauli_matrix(v, cap) for v in errs])
-        pe_flat = pe_stack.reshape(-1, p_op.shape[0])
+        # Rows of P E for every error; E's column j is phases[rows[j]] at rows[j].
+        pe_flat = np.concatenate([p_op[:, rows] * phases[rows]
+                                  for rows, phases in map(_pauli_action, errs)])
         probs = np.array([error_probability(v, p) for v in errs])
 
     n_sum = sq_sum = 0.0
@@ -452,11 +394,12 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         else:
             for _ in range(m):
                 v = uniform_state(p_op, rng)
-                e = _sample_error_word(n, p, rng)
+                e = sample_error(n, p, rng)
                 if e.is_zero:
                     val = 0.0
                 else:
-                    u = p_op @ (pauli_matrix(e, cap) @ v)
+                    rows, phases = _pauli_action(e)
+                    u = p_op @ (phases * v[rows])
                     val = float(np.sum(np.abs(u) ** 2) - abs(np.vdot(v, u)) ** 2)
                 n_sum += val
                 sq_sum += val * val
@@ -467,19 +410,6 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     return MCEstimate(mean, math.sqrt(var / count), count, seed, shards, p)
 
 
-def _sample_error_word(n: int, p: float, rng: np.random.Generator) -> GF4Vector:
-    # Same channel as chansim.sample_error; duplicated to keep imports acyclic.
-    x = z = 0
-    hit = rng.random(n) < p
-    kinds = rng.integers(0, 3, size=n)
-    for q in range(n):
-        if hit[q]:
-            xb, zb = ((1, 0), (0, 1), (1, 1))[kinds[q]]
-            x |= xb << q
-            z |= zb << q
-    return GF4Vector(n, x, z)
-
-
 def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
                         cap: int = COMPOSITE_CAP) -> float:
     """Deterministic evaluation of the entangled-transmission functional.
@@ -488,8 +418,7 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
     K-dimensional reference system and sums Pr(E) ||(I - bb*)(P x I)(E x I) b||^2
     over all errors.  The identity term vanishes identically and is skipped.
     """
-    if not 0 <= p <= 0.75:
-        raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
+    _check_p(p)
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
 
@@ -507,7 +436,8 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
         pr = error_probability(v, p)
         if pr == 0.0:
             continue
-        u = p_op @ (pauli_matrix(v, cap) @ b)
+        rows, phases = _pauli_action(v)
+        u = p_op @ (phases[:, None] * b[rows])
         val = np.sum(np.abs(u) ** 2) - abs(np.vdot(b, u)) ** 2
         terms.append(pr * float(val))
     return math.fsum(terms)

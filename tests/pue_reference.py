@@ -3,7 +3,9 @@
 The library sums the polynomials over a whole p-grid with numpy (floats)
 or as one integer numerator (exact).  These are the slow forms it is
 checked against: math.fsum over one Python float term per weight, and an
-exact sum of one Fraction term per weight.
+exact sum of one Fraction term per weight.  The library's binomial moments
+are a Taylor shift; the reference is the double sum of binomial
+coefficients.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ def fraction_poly(diffs, n: int, base_x, base_y) -> Fraction:
     bx, by = Fraction(base_x), Fraction(base_y)
     return sum((Fraction(d) * by**i * bx ** (n - i)
                 for i, d in enumerate(diffs) if d), Fraction(0))
+
+
+def binomial_moments_reference(counts, n: int) -> tuple[int, ...]:
+    """M_w = sum_{i<=w} counts[i] C(n-i, n-w), skipping zero counts."""
+    return tuple(sum(c * math.comb(n - i, n - w)
+                     for i, c in enumerate(counts[:w + 1]) if c)
+                 for w in range(n + 1))
 
 
 def stabilizer_diffs(pair) -> list[int]:

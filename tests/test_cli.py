@@ -43,11 +43,18 @@ def test_enum_missing_code_exits_2(capsys):
     assert "error" in err
 
 
-def test_enum_bad_file_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["syntax", "directory", "non_utf8"])
+def test_enum_bad_file_exits_2(tmp_path, capsys, kind):
     bad = tmp_path / "bad.code"
-    bad.write_text("XQ\n")
+    if kind == "syntax":
+        bad.write_text("XQ\n")
+    elif kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"XX\xff\xfe\n")
     code, _, err = run(capsys, "enum", str(bad))
     assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_enum_reads_code_files(tmp_path, capsys):
@@ -144,6 +151,14 @@ def test_verify_mc_band_does_not_collapse(capsys):
     code, out, _ = run(capsys, "verify", "five13", "--samples", "20000",
                        "--seed", "563333863")
     assert code == 0
+    assert ",FAIL," not in out
+
+
+def test_verify_zero_qubit_code(tmp_path, capsys):
+    empty = tmp_path / "empty.code"
+    empty.write_text("n=0 k=0\n")
+    code, out, _ = run(capsys, "verify", str(empty), "--samples", "2000")
+    assert code == 0, out
     assert ",FAIL," not in out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from qedet.catalog import get_code
 from qedet.enumerators import (EnumeratorPair, binomial_moments,
@@ -19,6 +19,7 @@ from qedet.enumerators import (EnumeratorPair, binomial_moments,
                                stabilizer_enumerators)
 from qedet.gf4 import AdditiveCode, dual, parse_code
 
+from pue_reference import binomial_moments_reference
 from test_gf4 import oracle_dual, oracle_span, self_orthogonal_codes
 
 FIVE13_GENS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
@@ -122,6 +123,23 @@ def test_binomial_moments_endpoints():
         moments = binomial_moments(pair.weights, pair.n)
         assert moments[0] == 1
         assert moments[pair.n] == sum(pair.weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1 << 70), min_size=1, max_size=60))
+def test_binomial_moments_match_double_sum(counts):
+    n = len(counts) - 1
+    assert binomial_moments(counts, n) == binomial_moments_reference(counts, n)
+
+
+def test_binomial_moments_no_generator_code_n1024():
+    pair = stabilizer_enumerators(AdditiveCode(1024, ()))
+    assert pair.moments == binomial_moments_reference(pair.weights, 1024)
+
+
+def test_binomial_moments_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        binomial_moments((1, 0), 2)
 
 
 def test_moments_generating_identity():

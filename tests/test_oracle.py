@@ -5,18 +5,52 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
-from qedet.gf4 import GF4Vector, adjoin_error, all_vectors, label_to_vector, trace_inner
+from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
+                       label_to_vector, trace_inner)
 from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, classify_error,
-                          classify_error_dense, close_group, code_projector,
+                          classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
-                          projector, pue_composite_exact, pue_nonstab_mc,
+                          pue_composite_exact, pue_nonstab_mc,
                           uniform_state, verify_mean_projector, verify_fourth_moment)
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
+from test_gf4 import self_orthogonal_codes
+
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
+
+# Reference single-qubit matrices, keyed by the (x, z) bits of a position.
+_SINGLE = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+}
+
+
+def kron_pauli(v: GF4Vector) -> np.ndarray:
+    """Reference Pauli matrix: Kronecker product of the single-qubit factors."""
+    m = np.ones((1, 1), dtype=complex)
+    for q in range(v.n):
+        m = np.kron(m, _SINGLE[v.symbol(q)])
+    return m
+
+
+def subset_sum_projector(code: AdditiveCode) -> np.ndarray:
+    """Reference projector (1/2^r) sum over generator subsets of their products."""
+    dim, r = 1 << code.n, code.rank
+    gens = [kron_pauli(g) for g in code.generators]
+    total = np.zeros((dim, dim), dtype=complex)
+    for mask in range(1 << r):
+        prod = np.eye(dim, dtype=complex)
+        for i, g in enumerate(gens):
+            if mask >> i & 1:
+                prod = prod @ g
+        total += prod
+    return total / (1 << r)
 
 
 def _rng(seed=0):
@@ -24,6 +58,19 @@ def _rng(seed=0):
 
 
 # --- Pauli tensor algebra -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_pauli_matrix_equals_kron_exhaustive(n):
+    for v in all_vectors(n):
+        assert np.array_equal(pauli_matrix(v), kron_pauli(v)), str(v)
+
+
+def test_pauli_matrix_equals_kron_sampled_n6():
+    rng = _rng(12)
+    for x, z in rng.integers(0, 64, size=(300, 2)):
+        v = GF4Vector(6, int(x), int(z))
+        assert np.array_equal(pauli_matrix(v), kron_pauli(v)), str(v)
 
 
 def test_identity_matrix():
@@ -72,55 +119,56 @@ def test_oracle_cap():
     assert pauli_matrix(GF4Vector.zero(7), cap=7).shape == (128, 128)
 
 
-# --- signed group closure and projectors ----------------------------------
+# --- projectors ------------------------------------------------------------
 
 
-def test_close_group_c422_signs():
-    group = close_group(get_code("c422").generators)
-    elements = {str(v): sign for sign, v in group.elements}
-    # (XXXX)(ZZZZ) picks up (-i)^4 = +1, so YYYY carries a plus sign.
-    assert elements == {"IIII": 1, "XXXX": 1, "ZZZZ": 1, "YYYY": 1}
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_code_projector_equals_subset_sum(name):
+    code = get_code(name)
+    assert np.array_equal(code_projector(code), subset_sum_projector(code))
 
 
-def test_close_group_single_generator():
-    group = close_group([label_to_vector("X")])
-    assert [(s, str(v)) for s, v in group.elements] == [(1, "I"), (1, "X")]
+@settings(max_examples=40, deadline=None)
+@given(self_orthogonal_codes(max_n=5))
+def test_code_projector_equals_subset_sum_random(code):
+    assert np.array_equal(code_projector(code), subset_sum_projector(code))
 
 
-def test_close_group_closure_by_dense_multiplication():
-    for name in ("bell", "c422"):
-        group = close_group(get_code(name).generators, n=get_code(name).n)
-        dense = {str(v): sign * pauli_matrix(v) for sign, v in group.elements}
-        for la, ma in dense.items():
-            for lb, mb in dense.items():
-                prod = ma @ mb
-                match = [l for l, m in dense.items() if np.allclose(m, prod, atol=1e-12)]
-                assert len(match) == 1
+def _code_state(name):
+    return uniform_state(code_projector(get_code(name)), _rng(13))
 
 
-def test_close_group_rejects_non_commuting():
-    with pytest.raises(ValueError):
-        close_group([label_to_vector("X"), label_to_vector("Z")])
-
-
-def test_close_group_dependent_generators():
-    # (XX)(ZZ) = -YY, so adjoining YY with a bare '+' closes on minus the
-    # identity; (XZ)(ZX) = +YY, so the same third generator is consistent.
-    bad = [label_to_vector(s) for s in ("XX", "ZZ", "YY")]
-    with pytest.raises(ValueError):
-        close_group(bad)
-    ok = close_group([label_to_vector(s) for s in ("XZ", "ZX", "YY")])
-    assert ok.size == 4
+def test_c422_group_signs():
+    # (XXXX)(ZZZZ) picks up (-i)^4 = +1, so code states are fixed by YYYY.
+    v = _code_state("c422")
+    assert np.allclose(pauli_matrix(label_to_vector("YYYY")) @ v, v, atol=1e-12)
 
 
 def test_bell_group_has_a_negative_sign():
-    signs = {str(v): s for s, v in close_group(get_code("bell").generators).elements}
-    assert signs == {"II": 1, "XX": 1, "ZZ": 1, "YY": -1}
+    # (XX)(ZZ) = -YY, so the Bell state is a -1 eigenvector of bare YY.
+    v = _code_state("bell")
+    assert np.allclose(pauli_matrix(label_to_vector("YY")) @ v, -v, atol=1e-12)
+
+
+def test_single_generator_projector():
+    p = code_projector(AdditiveCode(1, (label_to_vector("X"),)))
+    assert np.array_equal(p, np.full((2, 2), 0.5))
+
+
+def test_projector_rejects_non_commuting():
+    code = AdditiveCode(1, (label_to_vector("X"), label_to_vector("Z")))
+    with pytest.raises(ValueError):
+        code_projector(code)
 
 
 def test_projector_of_trivial_group_is_identity():
-    p = projector(close_group([], n=2))
-    assert np.array_equal(p, np.eye(4))
+    assert np.array_equal(code_projector(AdditiveCode(2, ())), np.eye(4))
+
+
+def test_projector_cap():
+    with pytest.raises(ValueError):
+        code_projector(AdditiveCode(7, ()))
+    assert code_projector(AdditiveCode(7, ()), cap=7).shape == (128, 128)
 
 
 @pytest.mark.parametrize("name,trace", [
@@ -138,8 +186,8 @@ def test_projector_five13_eigentest():
     p = code_projector(code)
     rng = _rng(3)
     v = uniform_state(p, rng)
-    for sign, g in close_group(code.generators).elements:
-        assert np.allclose(sign * pauli_matrix(g) @ v, v, atol=1e-10)
+    for g in code.generators:
+        assert np.allclose(pauli_matrix(g) @ v, v, atol=1e-10)
 
 
 def test_adjoin_error_halves_projector_trace():
@@ -189,6 +237,11 @@ def test_classify_dense_predicates():
     assert np.max(np.abs(p @ e_det @ p)) < 1e-12
     e_und = pauli_matrix(label_to_vector("XXII"))
     assert np.max(np.abs((np.eye(16) - p) @ e_und @ p)) < 1e-12
+
+
+def test_classify_dense_cap():
+    with pytest.raises(ValueError):
+        classify_error_dense(np.eye(128, dtype=complex), GF4Vector.zero(7))
 
 
 @pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422"])
