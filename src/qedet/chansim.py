@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf4 import AdditiveCode
-from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _pauli_action, _shard_rng,
-                     _split, code_projector, sample_error, uniform_state)
+from .oracle import (_PHASES, DEFAULT_ORACLE_CAP, _check_p, _hadamard,
+                     _sample_errors, _shard_rng, _split, code_projector,
+                     uniform_state)
+from .oracle import sample_error  # noqa: F401  (public here too)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -77,16 +79,20 @@ def measure(state: np.ndarray, projectors, rng: np.random.Generator):
     total = math.fsum(probs)
     if abs(total - 1.0) > _BORN_TOL:
         raise ValueError(f"measurement probabilities sum to {total}, not 1")
-    u = rng.random()
+    index = _born_index(probs, rng.random())
+    post = projectors[index] @ state
+    return index, post / math.sqrt(probs[index])
+
+
+def _born_index(probs, u: float) -> int:
+    """The first outcome whose cumulative probability exceeds the uniform
+    draw u; the most likely outcome if float slack leaves u above them all."""
     acc = 0.0
-    index = max(range(len(probs)), key=probs.__getitem__)  # float-slack fallback
     for i, pr in enumerate(probs):
         acc += pr
         if u < acc:
-            index = i
-            break
-    post = projectors[index] @ state
-    return index, post / math.sqrt(probs[index])
+            return i
+    return max(range(len(probs)), key=probs.__getitem__)
 
 
 def simulate(code: AdditiveCode, p: float, trials: int,
@@ -102,7 +108,8 @@ def simulate(code: AdditiveCode, p: float, trials: int,
     _check_p(p)
 
     p_op = code_projector(code, cap)
-    p_perp = np.eye(p_op.shape[0], dtype=complex) - p_op
+    hadamard = _hadamard(code.n)
+    k = np.arange(len(p_op))
 
     undetected = detected = trivial = 0
     for shard, m in enumerate(_split(trials, shards)):
@@ -111,28 +118,31 @@ def simulate(code: AdditiveCode, p: float, trials: int,
         rng = _shard_rng(seed, shard)
         for _ in range(m):
             v = uniform_state(p_op, rng)
-            rows, phases = _pauli_action(sample_error(code.n, p, rng))
-            w = phases * v[rows]
+            (x,), (z,) = _sample_errors(code.n, p, rng, 1)
+            # E|k> = i^|x&z| (-1)^|k&z| |k^x>, as in oracle._pauli_action.
+            w = _PHASES[(x & z).bit_count() % 4] * (hadamard[z] * v)[k ^ x]
 
             # For a stabilizer code the first measurement never splits.
-            prob_code = float(np.real(np.vdot(w, p_op @ w)))
+            pw = p_op @ w
+            prob_code = float(np.real(np.vdot(w, pw)))
             if min(prob_code, 1 - prob_code) > _BORN_TOL:
                 raise ValueError(
                     f"first measurement is not deterministic "
                     f"(probability {prob_code}); not a stabilizer setup")
 
-            index, z = measure(w, (p_op, p_perp), rng)
-            if index == 1:
+            # The Born draw of measure(w, (P, I - P), rng), from <w|P|w>.
+            if _born_index((prob_code, 1 - prob_code), rng.random()) == 1:
                 detected += 1
                 continue
+            post = pw / math.sqrt(prob_code)
             if protocol == "stabilizer":
-                if abs(np.vdot(z, v)) ** 2 > _COLLINEAR:
+                if abs(np.vdot(post, v)) ** 2 > _COLLINEAR:
                     trivial += 1
                 else:
                     undetected += 1
             else:
                 vv = np.outer(v, v.conj())
-                index2, _ = measure(z, (vv, p_op - vv), rng)
+                index2, _ = measure(post, (vv, p_op - vv), rng)
                 if index2 == 0:
                     trivial += 1
                 else:

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -205,12 +206,17 @@ def cmd_verify(args) -> int:
         return 1
     print("check,status,detail")
     failed = 0
+    start = time.perf_counter()
     for name, status, detail in _verify_checks(code, cap, args.tol,
                                                args.samples, args.seed):
+        # Each check is computed when the generator is resumed for it.
+        elapsed = time.perf_counter() - start
         word = "SKIP" if status is None else ("PASS" if status else "FAIL")
         if status is False:
             failed += 1
         print(f"{name},{word},{detail}")
+        print(f"time {name} {elapsed * 1e3:.1f} ms", file=sys.stderr)
+        start = time.perf_counter()
     print(f"{failed} failing check(s)" if failed else "all checks passed",
           file=sys.stderr)
     return 1 if failed else 0

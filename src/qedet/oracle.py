@@ -9,9 +9,21 @@ partial traces, uniform sampling on the stabilized subspace, and exact or
 Monte Carlo evaluation of the undetected-error functionals.  All of it is
 capped at a handful of qubits by design.
 
+Sums over all 4^n errors are Walsh-Hadamard transforms.  In index form an
+error E(x, z) maps |j> to i^|x&z| (-1)^|j&z| |j^x>, so
+
+    Tr(E A) = i^(3|x&z|) sum_j (-1)^|j&z| A[j^x, j],
+
+and the traces of one operator against every error are one product of the
+gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.  Likewise
+sum_E Pr(E) E^dag P E = sum_x W_x[j^k] P[j^x, k^x], where W_x is the
+Hadamard transform of Pr(x, .).
+
 Sharded Monte Carlo estimators draw shard s from
 numpy's PCG64 seeded with SeedSequence(seed, spawn_key=(s,)), so results
-are reproducible for a fixed (seed, shard count).
+are reproducible for a fixed (seed, shard count).  `pue_nonstab_mc` draws
+in chunks: a block of states, then (for n > 4) a block of errors, so its
+estimates also depend on `chunk`.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf4 import AdditiveCode, GF4Vector, all_vectors, trace_inner
+from .gf4 import AdditiveCode, GF4Vector, trace_inner
 from .enumerators import EnumeratorPair
 
 DenseOperator = np.ndarray
@@ -52,19 +64,56 @@ def _split(total: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
+def _reverse_bits(a: int, n: int) -> int:
+    """The n low bits of a in reverse order: qubit q <-> index bit n-1-q."""
+    r = 0
+    for q in range(n):
+        r = (r << 1) | ((a >> q) & 1)
+    return r
+
+
 def _pauli_action(v: GF4Vector) -> tuple[np.ndarray, np.ndarray]:
     """Rows and phases with (E @ A) == phases[:, None] * A[rows] for E = P_v.
 
     P|j> = i^|x&z| (-1)^|j&z| |j^x>, where qubit q is index bit n-1-q, as in
     the Kronecker product of the single-qubit factors in qubit order.
     """
-    x = z = 0
-    for q in range(v.n):
-        x = (x << 1) | ((v.x >> q) & 1)
-        z = (z << 1) | ((v.z >> q) & 1)
+    x, z = _reverse_bits(v.x, v.n), _reverse_bits(v.z, v.n)
     rows = np.arange(1 << v.n) ^ x
     parity = (np.bitwise_count(rows & z) & 1).astype(np.int64)
     return rows, _PHASES[((x & z).bit_count() + 2 * parity) % 4]
+
+
+def _hadamard(n: int) -> np.ndarray:
+    """The +-1 Hadamard matrix H[j, z] = (-1)^|j&z| of order 2^n."""
+    j = np.arange(1 << n)
+    return np.where(np.bitwise_count(j[:, None] & j) & 1, -1.0, 1.0)
+
+
+def _pauli_traces(a: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
+    """t[..., x, z] with Tr(E(x, z) a) = i^(3|x&z|) t[..., x, z], for every
+    index-form error at once; a may carry leading batch axes."""
+    j = np.arange(a.shape[-1])
+    return a[..., j[:, None] ^ j, j] @ hadamard
+
+
+def _error_table(n: int, p: float) -> np.ndarray:
+    """Pr(x, z) of every index-form error under the depolarizing channel,
+    with the identity's entry set to 0 (its term vanishes identically)."""
+    j = np.arange(1 << n)
+    wt = np.bitwise_count(j[:, None] | j).astype(np.int64)
+    probs = (p / 3) ** wt * (1 - p) ** (n - wt)
+    probs[0, 0] = 0.0
+    return probs
+
+
+def _twirl(p_op: DenseOperator, probs: np.ndarray,
+           hadamard: np.ndarray) -> DenseOperator:
+    """sum_E Pr(E) E^dag P E = sum_x W_x[j^k] P[j^x, k^x], W = Pr H."""
+    w = probs @ hadamard
+    j = np.arange(len(p_op))
+    x = j[:, None, None]
+    return np.sum(w[x, j[:, None] ^ j] * p_op[j[:, None] ^ x, j ^ x], axis=0)
 
 
 def pauli_matrix(v: GF4Vector, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
@@ -76,24 +125,29 @@ def pauli_matrix(v: GF4Vector, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
     return m
 
 
-def error_probability(v: GF4Vector, p: float) -> float:
-    """Depolarizing-channel probability (p/3)^wt (1-p)^(n-wt) of a given error."""
-    return (p / 3) ** v.weight * (1 - p) ** (v.n - v.weight)
+def _sample_errors(n: int, p: float, rng: np.random.Generator,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index-form words (x, z) of `count` depolarizing-channel errors.
+
+    Each position is hit independently with probability p and then uniform
+    over X, Z, Y.  Qubit q is index bit n-1-q; the arrays are int64, or
+    Python ints for n >= 63.
+    """
+    _check_p(p)
+    hit = rng.random((count, n)) < p
+    kinds = rng.integers(0, 3, size=(count, n))
+    bits = np.array([1 << (n - 1 - q) for q in range(n)],
+                    dtype=np.int64 if n < 63 else object)
+    # Kinds 0, 1, 2 are X, Z, Y: the x plane is kind != 1, the z plane kind != 0.
+    x, z = ((hit[:, None] & (kinds[:, None] != [[1], [0]])) @ bits).T
+    return x, z
 
 
 def sample_error(n: int, p: float, rng: np.random.Generator) -> GF4Vector:
     """One depolarizing-channel error: each position is hit independently
     with probability p and then uniform over the three nonzero symbols."""
-    _check_p(p)
-    x = z = 0
-    hit = rng.random(n) < p
-    kinds = rng.integers(0, 3, size=n)
-    for q in range(n):
-        if hit[q]:
-            xb, zb = ((1, 0), (0, 1), (1, 1))[kinds[q]]
-            x |= xb << q
-            z |= zb << q
-    return GF4Vector(n, x, z)
+    (x,), (z,) = _sample_errors(n, p, rng, 1)
+    return GF4Vector(n, _reverse_bits(int(x), n), _reverse_bits(int(z), n))
 
 
 def code_projector(code: AdditiveCode, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
@@ -127,20 +181,29 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
     weights[i]      = (1/dim^2) sum_{wt(E)=i} Tr(E P)^2
     dual_weights[i] = (1/dim)   sum_{wt(E)=i} Tr(E P E P)
 
-    The sums are rounded to integers; residuals above 1e-6 (or imaginary
-    parts above 1e-10) raise.
+    Both sets of 4^n traces come from Hadamard transforms (see the module
+    docstring).  The sums are rounded to integers; residuals above 1e-6 (or
+    imaginary parts above 1e-10) raise.
     """
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
-    b_acc = np.zeros(n + 1, dtype=complex)
-    bp_acc = np.zeros(n + 1, dtype=complex)
-    for v in all_vectors(n):
-        rows, phases = _pauli_action(v)
-        a = phases[:, None] * p_op[rows]
-        b_acc[v.weight] += np.trace(a) ** 2
-        bp_acc[v.weight] += np.sum(a * a.T)
-    b_acc /= dim * dim
-    bp_acc /= dim
+    h = _hadamard(n)
+    j = np.arange(1 << n)
+    x, y = j[:, None, None], j[:, None]
+    # Tr(E P E P) = (-1)^|x&z| sum_y (-1)^|y&z| G_x[y], with
+    # G_x[y] = sum_j P[j^x, j^y] P[j^y^x, j]; and (-1)^|x&z| = H[x, z].
+    g = np.sum(p_op[j ^ x, j ^ y] * p_op[j ^ y ^ x, j], axis=2)
+    traces_sq = h * _pauli_traces(p_op, h) ** 2
+    traces_epep = h * (g @ h)
+    wt = np.bitwise_count(j[:, None] | j).ravel()
+
+    def by_weight(t: np.ndarray) -> np.ndarray:
+        t = t.ravel()
+        return (np.bincount(wt, t.real, n + 1)
+                + 1j * np.bincount(wt, t.imag, n + 1))
+
+    b_acc = by_weight(traces_sq) / (dim * dim)
+    bp_acc = by_weight(traces_epep) / dim
     if max(np.max(np.abs(b_acc.imag)), np.max(np.abs(bp_acc.imag))) > 1e-10:
         raise ValueError("trace enumerators have nonreal parts")
     weights = np.rint(b_acc.real)
@@ -354,7 +417,9 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     The error sum is exact over all 4^n errors for n <= 4 and sampled from
     the channel otherwise.  The identity error term is identically zero
     (P v = v on the subspace) and is skipped, so p = 0 gives exactly 0, as
-    does n = 0, where no other error exists.
+    does n = 0, where no other error exists.  Each shard draws its states
+    in chunks of `chunk`; for n > 4 a chunk's block of states is followed by
+    a block of one error per state.
     """
     _check_p(p)
     if samples < 1 or shards < 1:
@@ -364,50 +429,48 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
 
     if n == 0:
         return MCEstimate(0.0, 0.0, samples, seed, shards, p)
+    h = _hadamard(n)
     exact_errors = n <= 4
     if exact_errors:
-        errs = [v for v in all_vectors(n) if not v.is_zero]
-        # Rows of P E for every error; E's column j is phases[rows[j]] at rows[j].
-        pe_flat = np.concatenate([p_op[:, rows] * phases[rows]
-                                  for rows, phases in map(_pauli_action, errs)])
-        probs = np.array([error_probability(v, p) for v in errs])
+        probs = _error_table(n, p)
+        m_op = _twirl(p_op, probs, h)
 
     n_sum = sq_sum = 0.0
     count = 0
     for shard, m in enumerate(_split(samples, shards)):
-        if m == 0:
-            continue
         rng = _shard_rng(seed, shard)
-        if exact_errors:
-            done = 0
-            while done < m:
-                c = min(chunk, m - done)
-                v = _uniform_batch(p_op, c, rng)
-                # t[s, e, :] = P E_e v_s, via one BLAS product
-                t = (v @ pe_flat.T).reshape(c, len(errs), -1)
-                norms = np.einsum("cea,cea->ce", t, t.conj()).real
-                overlap = np.abs(np.einsum("cea,ca->ce", t, v.conj())) ** 2
-                vals = (norms - overlap) @ probs
-                n_sum += float(np.sum(vals))
-                sq_sum += float(np.sum(vals * vals))
-                done += c
-        else:
-            for _ in range(m):
-                v = uniform_state(p_op, rng)
-                e = sample_error(n, p, rng)
-                if e.is_zero:
-                    val = 0.0
-                else:
-                    rows, phases = _pauli_action(e)
-                    u = p_op @ (phases * v[rows])
-                    val = float(np.sum(np.abs(u) ** 2) - abs(np.vdot(v, u)) ** 2)
-                n_sum += val
-                sq_sum += val * val
+        for done in range(0, m, chunk):
+            v = _uniform_batch(p_op, min(chunk, m - done), rng)
+            if exact_errors:
+                # v^dag M v = sum_E Pr(E) ||P E v||^2, and (P v)^dag E v
+                # = Tr(E v (P v)^dag) for every E from one transform.
+                pv = v @ p_op.T
+                t = _pauli_traces(v[:, :, None] * pv.conj()[:, None, :], h)
+                vals = (np.sum((v.conj() @ m_op) * v, axis=1).real
+                        - (np.abs(t) ** 2).reshape(len(v), -1) @ probs.ravel())
+            else:
+                vals = _sampled_values(p_op, h, v,
+                                       *_sample_errors(n, p, rng, len(v)))
+            n_sum += float(np.sum(vals))
+            sq_sum += float(np.sum(vals * vals))
         count += m
 
     mean = n_sum / count
     var = max(sq_sum - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
     return MCEstimate(mean, math.sqrt(var / count), count, seed, shards, p)
+
+
+def _sampled_values(p_op: DenseOperator, hadamard: np.ndarray, v: np.ndarray,
+                    x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||P E v||^2 - |<v, P E v>|^2 for each row v of a block of states and
+    its index-form error E(x, z); identity errors give exactly 0."""
+    # E|k> = i^|x&z| (-1)^|k&z| |k^x>; the phase cancels in both terms.
+    ev = np.take_along_axis(hadamard[z] * v,
+                            np.arange(v.shape[1]) ^ x[:, None], axis=1)
+    u = ev @ p_op.T
+    vals = (np.sum(np.abs(u) ** 2, axis=1)
+            - np.abs(np.sum(v.conj() * u, axis=1)) ** 2)
+    return np.where((x | z) == 0, 0.0, vals)
 
 
 def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
@@ -428,16 +491,11 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
         raise ValueError("projector rank does not match the declared dimension")
     # b as a (2^n, K) matrix: reference system = columns.
     b = basis / math.sqrt(dim)
-
-    terms = []
-    for v in all_vectors(n):
-        if v.is_zero:
-            continue
-        pr = error_probability(v, p)
-        if pr == 0.0:
-            continue
-        rows, phases = _pauli_action(v)
-        u = p_op @ (phases[:, None] * b[rows])
-        val = np.sum(np.abs(u) ** 2) - abs(np.vdot(b, u)) ** 2
-        terms.append(pr * float(val))
-    return math.fsum(terms)
+    bb = b @ b.conj().T
+    h = _hadamard(n)
+    probs = _error_table(n, p)
+    # sum_E Pr(E) ||(P E x I) b||^2 = Tr(M b b^dag) with M = sum Pr E^dag P E,
+    # and <b, (P E x I) b> = Tr(E b b^dag P).
+    norms = np.sum(_twirl(p_op, probs, h) * bb.T).real
+    overlaps = np.sum(probs * np.abs(_pauli_traces(bb @ p_op, h)) ** 2)
+    return float(norms - overlaps)

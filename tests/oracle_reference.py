@@ -1,0 +1,137 @@
+"""Per-error and per-trial reference loops for the dense oracle and the
+protocol simulator.
+
+The library sums over all 4^n Pauli errors with Walsh-Hadamard transforms,
+draws sampled errors a block at a time, and takes the first Born draw of
+the simulator from <w|P|w>.  These are the slow forms it is checked
+against: one row gather per error (`oracle._pauli_action`), one GF4Vector
+per sampled error, and `chansim.measure` against (P, I - P).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qedet.chansim import _COLLINEAR, measure
+from qedet.enumerators import EnumeratorPair
+from qedet.gf4 import GF4Vector, all_vectors
+from qedet.oracle import (_pauli_action, _shard_rng, _split, _uniform_batch,
+                          pauli_matrix, uniform_state)
+
+
+def error_probability(v: GF4Vector, p: float) -> float:
+    """Depolarizing-channel probability (p/3)^wt (1-p)^(n-wt) of a given error."""
+    return (p / 3) ** v.weight * (1 - p) ** (v.n - v.weight)
+
+
+def sample_error_loop(n: int, p: float, rng: np.random.Generator) -> GF4Vector:
+    """One depolarizing-channel error from shape-(n,) draws, bit by bit."""
+    x = z = 0
+    hit = rng.random(n) < p
+    kinds = rng.integers(0, 3, size=n)
+    for q in range(n):
+        if hit[q]:
+            xb, zb = ((1, 0), (0, 1), (1, 1))[kinds[q]]
+            x |= xb << q
+            z |= zb << q
+    return GF4Vector(n, x, z)
+
+
+def enumerators_loop(p_op: np.ndarray, dim: int) -> EnumeratorPair:
+    """Trace-formula enumerators summed error by error, rounded to integers."""
+    n = (p_op.shape[0] - 1).bit_length()
+    b_acc = np.zeros(n + 1, dtype=complex)
+    bp_acc = np.zeros(n + 1, dtype=complex)
+    for v in all_vectors(n):
+        rows, phases = _pauli_action(v)
+        a = phases[:, None] * p_op[rows]
+        b_acc[v.weight] += np.trace(a) ** 2
+        bp_acc[v.weight] += np.sum(a * a.T)
+    b_acc /= dim * dim
+    bp_acc /= dim
+    return EnumeratorPair(n, dim,
+                          tuple(int(c) for c in np.rint(b_acc.real)),
+                          tuple(int(c) for c in np.rint(bp_acc.real)))
+
+
+def composite_loop(p_op: np.ndarray, dim: int, p: float) -> float:
+    """Entangled-transmission functional summed error by error."""
+    n = (p_op.shape[0] - 1).bit_length()
+    vals, vecs = np.linalg.eigh(p_op)
+    b = vecs[:, vals > 0.5] / math.sqrt(dim)
+    terms = []
+    for v in all_vectors(n):
+        pr = error_probability(v, p)
+        if v.is_zero or pr == 0.0:
+            continue
+        rows, phases = _pauli_action(v)
+        u = p_op @ (phases[:, None] * b[rows])
+        terms.append(pr * float(np.sum(np.abs(u) ** 2) - abs(np.vdot(b, u)) ** 2))
+    return math.fsum(terms)
+
+
+def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
+                          seed: int = 0, shards: int = 1,
+                          chunk: int = 256) -> tuple[float, float]:
+    """(estimate, stderr) of the exact-error branch of pue_nonstab_mc:
+    P E v for every non-identity error by one matrix product per chunk."""
+    n = (p_op.shape[0] - 1).bit_length()
+    errs = [v for v in all_vectors(n) if not v.is_zero]
+    pe_flat = np.concatenate([p_op[:, rows] * phases[rows]
+                              for rows, phases in map(_pauli_action, errs)])
+    probs = np.array([error_probability(v, p) for v in errs])
+    n_sum = sq_sum = 0.0
+    for shard, m in enumerate(_split(samples, shards)):
+        rng = _shard_rng(seed, shard)
+        for done in range(0, m, chunk):
+            c = min(chunk, m - done)
+            v = _uniform_batch(p_op, c, rng)
+            t = (v @ pe_flat.T).reshape(c, len(errs), -1)
+            norms = np.einsum("cea,cea->ce", t, t.conj()).real
+            overlap = np.abs(np.einsum("cea,ca->ce", t, v.conj())) ** 2
+            vals = (norms - overlap) @ probs
+            n_sum += float(np.sum(vals))
+            sq_sum += float(np.sum(vals * vals))
+    mean = n_sum / samples
+    var = max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+def sampled_values_dense(p_op: np.ndarray, v: np.ndarray,
+                         errors: list[GF4Vector]) -> np.ndarray:
+    """||P E v||^2 - |<v, P E v>|^2 per state, with E as a dense matrix."""
+    vals = []
+    for state, e in zip(v, errors):
+        u = p_op @ pauli_matrix(e, cap=e.n) @ state
+        vals.append(np.sum(np.abs(u) ** 2) - abs(np.vdot(state, u)) ** 2)
+    return np.array(vals)
+
+
+def simulate_loop(code, p_op: np.ndarray, p: float, trials: int,
+                  protocol: str, seed: int, shards: int) -> tuple[int, int, int]:
+    """(undetected, detected, trivial) counts of the protocol, trial by trial,
+    with both measurements made by `measure`."""
+    p_perp = np.eye(len(p_op), dtype=complex) - p_op
+    undetected = detected = trivial = 0
+    for shard, m in enumerate(_split(trials, shards)):
+        rng = _shard_rng(seed, shard)
+        for _ in range(m):
+            v = uniform_state(p_op, rng)
+            rows, phases = _pauli_action(sample_error_loop(code.n, p, rng))
+            w = phases * v[rows]
+            index, z = measure(w, (p_op, p_perp), rng)
+            if index == 1:
+                detected += 1
+                continue
+            if protocol == "stabilizer":
+                same = abs(np.vdot(z, v)) ** 2 > _COLLINEAR
+            else:
+                vv = np.outer(v, v.conj())
+                same = measure(z, (vv, p_op - vv), rng)[0] == 0
+            if same:
+                trivial += 1
+            else:
+                undetected += 1
+    return undetected, detected, trivial

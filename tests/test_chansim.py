@@ -10,10 +10,12 @@ import pytest
 from scipy import stats
 
 from qedet.catalog import get_code
-from qedet.chansim import measure, sample_error, simulate
+from qedet.chansim import _born_index, measure, sample_error, simulate
 from qedet.enumerators import stabilizer_enumerators
 from qedet.oracle import code_projector
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
+
+from oracle_reference import sample_error_loop, simulate_loop
 
 
 def _rng(seed=0):
@@ -55,6 +57,22 @@ def test_sample_error_uniform_symbols_at_three_quarters():
         counts[e.x | (e.z << 1)] += 1
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.001
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 6])
+@pytest.mark.parametrize("p", [0.1, 0.75])
+def test_sample_error_consumes_stream_like_loop(n, p):
+    # The block sampler draws shape-(1, n) arrays; they must use the stream
+    # exactly as the one-word shape-(n,) draws do.
+    a, b = _rng(n), _rng(n)
+    for _ in range(50):
+        assert sample_error(n, p, a) == sample_error_loop(n, p, b)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_sample_error_beyond_int64():
+    e = sample_error(100, 0.75, _rng(6))
+    assert e.n == 100 and e.weight > 64
 
 
 # --- Born measurement ----------------------------------------------------------
@@ -100,6 +118,15 @@ def test_measure_rejects_incomplete_projectors():
     v = np.array([0.6, 0.8], dtype=complex)
     with pytest.raises(ValueError):
         measure(v, (p0,), rng)
+
+
+def test_born_index_cumulative_and_fallback():
+    assert _born_index((0.25, 0.75), 0.2) == 0
+    assert _born_index((0.25, 0.75), 0.25) == 1
+    # Probabilities a little short of 1 leave the draw above every outcome;
+    # the most likely one is taken, not the last.
+    assert _born_index((0.7, 0.3 - 1e-12), 1 - 1e-13) == 0
+    assert _born_index((0.3 - 1e-12, 0.7), 1 - 1e-13) == 1
 
 
 # --- full protocol -------------------------------------------------------------
@@ -173,6 +200,20 @@ def test_simulate_undetectable_errors_always_undetected():
     expected = 0.75
     assert abs(report.estimate - expected) <= 4 * report.stderr
     assert report.detected_count == 0
+
+
+@pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422", "five13"])
+@pytest.mark.parametrize("protocol", ["stabilizer", "nonstabilizer"])
+def test_simulate_counts_equal_measure_loop(name, protocol):
+    # Same counts as drawing each error as a GF4Vector and making the first
+    # measurement with measure(w, (P, I - P)).
+    code = get_code(name)
+    p_op = code_projector(code)
+    for p in (0.1, 0.5):
+        report = simulate(code, p, 600, protocol=protocol, seed=5, shards=2)
+        counts = (report.undetected_count, report.detected_count,
+                  report.trivial_count)
+        assert counts == simulate_loop(code, p_op, p, 600, protocol, 5, 2)
 
 
 def test_simulate_json_schema():

@@ -137,6 +137,29 @@ def test_verify_c422_passes(capsys):
     assert statuses <= {"PASS", "SKIP"}
 
 
+VERIFY_CHECKS = [
+    "self_orthogonal", "enum_properties", "min_distance",
+    "macwilliams_forward", "macwilliams_roundtrip", "coset_sum_vs_polynomial",
+    "moments_form", "projector_valid", "oracle_enumerators",
+    "classification_agreement", "uniform_functional_mc",
+    "composite_functional", "mean_projector_identity",
+    "fourth_moment_identity",
+]
+
+
+def test_verify_times_go_to_stderr_only(capsys):
+    code, out, err = run(capsys, "verify", "c422", "--samples", "2000")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "check,status,detail"
+    assert [line.split(",")[0] for line in lines[1:]] == VERIFY_CHECKS
+    assert all(len(line.split(",")) == 3 for line in lines)
+    times = [line.split() for line in err.splitlines()
+             if line.startswith("time ")]
+    assert [t[1] for t in times] == VERIFY_CHECKS
+    assert all(t[3] == "ms" and float(t[2]) >= 0 for t in times)
+
+
 def test_verify_all_catalog_codes(capsys):
     for name in ("trivial-n1", "bell", "five13"):
         code, out, _ = run(capsys, "verify", name, "--samples", "4000",
@@ -145,13 +168,22 @@ def test_verify_all_catalog_codes(capsys):
 
 
 def test_verify_mc_band_does_not_collapse(capsys):
-    # This seed draws few undetected errors, so the estimate lies 4.79 of
-    # its own (shrunken) stderrs from the closed form, yet only 2.27 times
-    # the variance bound.
+    # With one state and one error drawn at a time, this seed drew few
+    # undetected errors: the estimate lay 4.79 of its own (shrunken) stderrs
+    # from the closed form, yet only 2.27 times the variance bound.
     code, out, _ = run(capsys, "verify", "five13", "--samples", "20000",
                        "--seed", "563333863")
     assert code == 0
     assert ",FAIL," not in out
+
+
+def test_verify_mc_band_does_not_collapse_block_draws(capsys):
+    # The same trap under block draws: this seed's estimate lies 6.43 of its
+    # own stderrs below the closed form, and 2.60 times the variance bound.
+    code, out, _ = run(capsys, "verify", "five13", "--samples", "20000",
+                       "--seed", "242")
+    assert code == 0
+    assert "uniform_functional_mc,PASS,2.60 x stderr bound" in out
 
 
 def test_verify_zero_qubit_code(tmp_path, capsys):

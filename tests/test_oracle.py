@@ -3,6 +3,8 @@ classification, partial traces, subspace sampling, and the MC functionals."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,18 @@ from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
                        label_to_vector, trace_inner)
-from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, classify_error,
+from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, _hadamard,
+                          _reverse_bits, _sample_errors, _sampled_values,
+                          _shard_rng, _uniform_batch, classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
                           pue_composite_exact, pue_nonstab_mc,
                           uniform_state, verify_mean_projector, verify_fourth_moment)
-from qedet.pue import pue_nonstabilizer, pue_stabilizer
+from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
 
-from test_gf4 import self_orthogonal_codes
+from oracle_reference import (composite_loop, enumerators_loop,
+                              nonstab_mc_exact_loop, sampled_values_dense)
+from test_gf4 import _random_code, self_orthogonal_codes
 
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
 
@@ -55,6 +61,18 @@ def subset_sum_projector(code: AdditiveCode) -> np.ndarray:
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _random_n6_code(seed: int) -> AdditiveCode:
+    """A seeded random self-orthogonal [[6, 6 - r]] code with r in 2..5."""
+    rng = random.Random(seed)
+    return _random_code(6, rng.randint(2, 5), rng)
+
+
+def _variance_band(target: float, samples: int) -> float:
+    """4 x sqrt(t (1 - t) / N): each sample lies in [0, 1], so its variance
+    is at most t (1 - t), whatever the sample's own spread."""
+    return 4 * np.sqrt(target * (1 - target) / samples)
 
 
 # --- Pauli tensor algebra -------------------------------------------------
@@ -218,6 +236,20 @@ def test_bruteforce_rejects_non_projector_input():
     m = np.diag([0.5, 0.25]).astype(complex)
     with pytest.raises(ValueError):
         enumerators_bruteforce(m, 2)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_bruteforce_equals_error_loop(name):
+    code = get_code(name)
+    p_op = code_projector(code)
+    assert enumerators_bruteforce(p_op, code.dim) == enumerators_loop(p_op, code.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(self_orthogonal_codes(max_n=5))
+def test_bruteforce_equals_error_loop_random(code):
+    p_op = code_projector(code)
+    assert enumerators_bruteforce(p_op, code.dim) == enumerators_loop(p_op, code.dim)
 
 
 # --- error classification ---------------------------------------------------
@@ -409,6 +441,77 @@ def test_pue_nonstab_mc_reproducible_across_shards():
     assert a == b
 
 
+@pytest.mark.parametrize("name,p,samples,shards,chunk", [
+    ("trivial-n1", 0.3, 2000, 1, 256),
+    ("c422", 0.1, 3001, 3, 256),
+    ("c422", 0.75, 1000, 2, 97),
+    ("random-n4", 0.2, 1500, 1, 64),
+])
+def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples,
+                                                       shards, chunk):
+    code = (_random_code(4, 2, random.Random(4)) if name == "random-n4"
+            else get_code(name))
+    p_op = code_projector(code)
+    got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7, shards=shards,
+                         chunk=chunk)
+    want, want_stderr = nonstab_mc_exact_loop(p_op, p, samples, seed=7,
+                                              shards=shards, chunk=chunk)
+    assert want > 0
+    assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
+    assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("code", [get_code("five13"), _random_n6_code(0)],
+                         ids=["five13", "random-n6"])
+def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
+    # The sampled branch draws a block of states, then a block of errors;
+    # one chunk's values must equal the dense-matrix formula on those draws.
+    n, p, c, seed = code.n, 0.3, 200, 11
+    p_op = code_projector(code)
+    rng = _shard_rng(seed, 0)
+    v = _uniform_batch(p_op, c, rng)
+    x, z = _sample_errors(n, p, rng, c)
+    errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))
+              for a, b in zip(x, z)]
+    got = _sampled_values(p_op, _hadamard(n), v, x, z)
+    want = sampled_values_dense(p_op, v, errors)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.all(got[(x | z) == 0] == 0.0)
+    assert 0 < np.sum((x | z) == 0) < c
+    est = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed, chunk=c)
+    assert est.estimate == pytest.approx(np.mean(want), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("code", [get_code("five13")]
+                         + [_random_n6_code(s) for s in range(5)],
+                         ids=["five13"] + [f"random-n6-{s}" for s in range(5)])
+def test_pue_nonstab_mc_sampled_branch_variance_band(code):
+    p_op = code_projector(code)
+    target = pue_nonstabilizer(stabilizer_enumerators(code), 0.1)
+    band = _variance_band(target, 20000)
+    assert band > 0
+    for seed in range(20):
+        est = pue_nonstab_mc(p_op, code.dim, 0.1, 20000, seed=seed)
+        assert abs(est.estimate - target) <= band, (seed, est.estimate, target)
+
+
+@pytest.mark.parametrize("code", [get_code("five13"), _random_n6_code(1)],
+                         ids=["five13", "random-n6"])
+def test_pue_nonstab_mc_zero_noise_sampled_branch(code):
+    est = pue_nonstab_mc(code_projector(code), code.dim, 0.0, 1000, seed=0)
+    assert est.estimate == 0.0 and est.stderr == 0.0
+
+
+@pytest.mark.parametrize("name,p", [
+    ("c422", 0.75), ("five13", 0.75), ("trivial-n1", 0.1), ("trivial-n1", 0.75),
+])
+def test_pue_nonstab_mc_edge_cases_within_band(name, p):
+    code = get_code(name)
+    target = pue_nonstabilizer(stabilizer_enumerators(code), p)
+    est = pue_nonstab_mc(code_projector(code), code.dim, p, 20000, seed=2)
+    assert abs(est.estimate - target) <= _variance_band(target, 20000)
+
+
 # --- composite-system functional -----------------------------------------------
 
 
@@ -436,3 +539,29 @@ def test_composite_exact_cap():
     p_op = code_projector(get_code("five13"))
     with pytest.raises(ValueError):
         pue_composite_exact(p_op, 2, 0.1)
+
+
+@pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422"])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.75])
+def test_composite_exact_equals_error_loop(name, p):
+    code = get_code(name)
+    p_op = code_projector(code)
+    got = pue_composite_exact(p_op, code.dim, p)
+    assert abs(got - composite_loop(p_op, code.dim, p)) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(self_orthogonal_codes(max_n=4))
+def test_composite_exact_equals_error_loop_random(code):
+    p_op = code_projector(code)
+    for p in (0.1, 0.6):
+        got = pue_composite_exact(p_op, code.dim, p)
+        assert abs(got - composite_loop(p_op, code.dim, p)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.75])
+def test_composite_exact_trivial_n1(p):
+    code = get_code("trivial-n1")
+    got = pue_composite_exact(code_projector(code), code.dim, p)
+    assert got == pytest.approx(pue_composite(stabilizer_enumerators(code), p),
+                                abs=1e-12)
