@@ -1,7 +1,10 @@
 """Monte Carlo of the transmission-and-detection protocol vs closed form.
 
-Each trial sends a uniform code state through the depolarizing channel,
-measures against (P, I-P), and counts undetected events.  The estimates
+Each trial sends a uniform code state v through the depolarizing channel,
+measures against (P, I-P), and counts undetected events: the stabilizer
+protocol by collinearity with v, the nonstabilizer protocol by a second
+measurement against (vv*, P - vv*), whose outcome is drawn from the overlap
+|<v, post>|^2 alone.  The estimates
 land within a few standard errors of the polynomial in the weight
 enumerators; the same seed always reproduces the same report.
 """

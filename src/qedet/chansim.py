@@ -1,11 +1,12 @@
 """Seeded Monte Carlo simulation of the detection protocol.
 
-Per trial: draw a uniform state of the stabilized subspace, hit it with an
-i.i.d. depolarizing error, Born-measure against (P, I - P), and classify the
-outcome.  The "nonstabilizer" protocol adds a second measurement against
-(vv*, P - vv*) that distinguishes "came back to the transmitted state" from
-"landed on an orthogonal code state"; the stabilizer protocol decides the
-same question by collinearity of the post-measurement state with v.
+Per trial: draw a uniform state v of the stabilized subspace, hit it with an
+i.i.d. depolarizing error (w = E v), Born-measure against (P, I - P), and
+classify the outcome.  Both protocols read one overlap, |<v, post>|^2 =
+|<v, w>|^2 / <w|P|w> for post = Pw / |Pw| (P v = v and P is Hermitian): the
+stabilizer protocol checks it for collinearity, and the "nonstabilizer"
+protocol's second measurement, against (vv*, P - vv*), is the Born draw
+whose first outcome has that overlap as its probability.
 
 Randomness comes from numpy's PCG64; shard s of a run draws from
 SeedSequence(seed, spawn_key=(s,)).  Reports are bit-for-bit reproducible
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf4 import AdditiveCode
-from .oracle import (_PHASES, DEFAULT_ORACLE_CAP, _check_p, _hadamard,
-                     _sample_errors, _shard_rng, _split, code_projector,
-                     uniform_state)
+from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _hadamard, _sample_errors,
+                     _shard_rng, _split, code_projector, uniform_state)
 from .oracle import sample_error  # noqa: F401  (public here too)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
@@ -119,12 +119,12 @@ def simulate(code: AdditiveCode, p: float, trials: int,
         for _ in range(m):
             v = uniform_state(p_op, rng)
             (x,), (z,) = _sample_errors(code.n, p, rng, 1)
-            # E|k> = i^|x&z| (-1)^|k&z| |k^x>, as in oracle._pauli_action.
-            w = _PHASES[(x & z).bit_count() % 4] * (hadamard[z] * v)[k ^ x]
+            # E|k> = i^|x&z| (-1)^|k&z| |k^x>, as in oracle._pauli_action;
+            # the global phase cancels in both overlaps below and is dropped.
+            w = (hadamard[z] * v)[k ^ x]
 
             # For a stabilizer code the first measurement never splits.
-            pw = p_op @ w
-            prob_code = float(np.real(np.vdot(w, pw)))
+            prob_code = float(np.real(np.vdot(w, p_op @ w)))
             if min(prob_code, 1 - prob_code) > _BORN_TOL:
                 raise ValueError(
                     f"first measurement is not deterministic "
@@ -134,19 +134,17 @@ def simulate(code: AdditiveCode, p: float, trials: int,
             if _born_index((prob_code, 1 - prob_code), rng.random()) == 1:
                 detected += 1
                 continue
-            post = pw / math.sqrt(prob_code)
+            # |<v, post>|^2 for post = Pw / sqrt(<w|P|w>).
+            overlap = abs(np.vdot(v, w)) ** 2 / prob_code
             if protocol == "stabilizer":
-                if abs(np.vdot(post, v)) ** 2 > _COLLINEAR:
-                    trivial += 1
-                else:
-                    undetected += 1
+                same = overlap > _COLLINEAR
             else:
-                vv = np.outer(v, v.conj())
-                index2, _ = measure(post, (vv, p_op - vv), rng)
-                if index2 == 0:
-                    trivial += 1
-                else:
-                    undetected += 1
+                # The Born draw of measure(post, (vv*, P - vv*), rng).
+                same = _born_index((overlap, 1 - overlap), rng.random()) == 0
+            if same:
+                trivial += 1
+            else:
+                undetected += 1
 
     estimate = undetected / trials
     stderr = math.sqrt(estimate * (1 - estimate) / trials)

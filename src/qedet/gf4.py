@@ -219,13 +219,6 @@ class AdditiveCode:
         return 1 << (self.n - self.rank)
 
     @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        basis: list[int] = []
-        for g in self.generators:
-            _echelon_insert(basis, _sym_row(g))
-        return tuple(basis)
-
-    @cached_property
     def is_self_orthogonal(self) -> bool:
         """True when every pair of generators has trace inner product 0."""
         gens = self.generators
@@ -235,7 +228,7 @@ class AdditiveCode:
     def contains(self, v: GF4Vector) -> bool:
         if v.n != self.n:
             raise ValueError("length mismatch")
-        return _reduce_row(_sym_row(v), self._pivots) == 0
+        return _reduce_row(_sym_row(v), self._canonical) == 0
 
     def codewords(self, cap: int = ENUMERATION_CAP) -> Iterator[GF4Vector]:
         """Yield all 2^r codewords once, in Gray-code order."""
@@ -252,6 +245,8 @@ class AdditiveCode:
 
     @cached_property
     def _canonical(self) -> tuple[int, ...]:
+        # RREF rows have distinct leading bits, sorted descending, as
+        # _reduce_row needs; contains() reduces against them.
         return _rref(_sym_row(g) for g in self.generators)
 
     def __eq__(self, other: object) -> bool:

@@ -310,10 +310,11 @@ class MomentReport:
 
 
 def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
-                    blocks: int) -> MomentReport:
+                    blocks: int, expected: float) -> MomentReport:
     """Accumulate block sums of a matrix-valued sampler and jackknife them.
 
-    sample_block(count) must return the SUM of `count` fresh sample matrices.
+    sample_block(count) must return the SUM of `count` fresh sample matrices;
+    `expected` is the analytic rms deviation reported alongside.
     """
     blocks = max(1, min(blocks, total))
     sizes = _split(total, blocks)
@@ -322,11 +323,11 @@ def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
     deviation = float(np.linalg.norm(full / total - target))
 
     if blocks == 1:
-        return MomentReport(deviation, 0.0, 0.0, total)
+        return MomentReport(deviation, 0.0, expected, total)
     loo = np.array([(full - s) / (total - m) for s, m in zip(sums, sizes)])
     center = loo.mean(axis=0)
     var = (blocks - 1) / blocks * np.sum(np.abs(loo - center) ** 2)
-    return MomentReport(deviation, float(math.sqrt(var)), 0.0, total)
+    return MomentReport(deviation, float(math.sqrt(var)), expected, total)
 
 
 def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
@@ -339,9 +340,8 @@ def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
         w = _uniform_batch(p_op, count, rng)
         return w.T @ w.conj()
 
-    report = _mc_matrix_mean(block, target, samples, blocks)
     expected = math.sqrt((1 - 1 / dim) / samples)
-    return MomentReport(report.deviation, report.sigma, expected, samples)
+    return _mc_matrix_mean(block, target, samples, blocks, expected)
 
 
 def verify_fourth_moment(dim: int, samples: int, rng: np.random.Generator,
@@ -363,9 +363,8 @@ def verify_fourth_moment(dim: int, samples: int, rng: np.random.Generator,
         u = np.einsum("ni,nj->nij", v, v).reshape(count, dim * dim)
         return u.T @ u.conj()
 
-    report = _mc_matrix_mean(block, target, samples, blocks)
     expected = math.sqrt((1 - 2 / (dim * (dim + 1))) / samples)
-    return MomentReport(report.deviation, report.sigma, expected, samples)
+    return _mc_matrix_mean(block, target, samples, blocks, expected)
 
 
 def deviation_curve(kind: str, dim: int, sizes, replicates: int,

@@ -23,8 +23,8 @@ term shares the denominator (3b)^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,8 +201,7 @@ def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PueResult:
+class PueResult(NamedTuple):
     code: str
     mode: str
     p: float

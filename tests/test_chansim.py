@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from scipy import stats
 from qedet.catalog import get_code
 from qedet.chansim import _born_index, measure, sample_error, simulate
 from qedet.enumerators import stabilizer_enumerators
-from qedet.oracle import code_projector
+from qedet.oracle import code_projector, pue_nonstab_mc
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
 from oracle_reference import sample_error_loop, simulate_loop
+from test_gf4 import _random_code
 
 
 def _rng(seed=0):
@@ -202,18 +205,50 @@ def test_simulate_undetectable_errors_always_undetected():
     assert report.detected_count == 0
 
 
-@pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422", "five13"])
+# Seeded random self-orthogonal codes: rank 4 at n = 6 is the benchmark's
+# g62 shape; rank n gives an [[n, 0]] code, whose one state is fixed by
+# every undetected error.
+SIM_CODES = {name: get_code(name)
+             for name in ("trivial-n1", "bell", "c422", "five13")}
+SIM_CODES |= {f"random-n6-{s}": _random_code(6, 4, random.Random(s))
+              for s in (1, 2)}
+K0_CODES = {"bell": get_code("bell")}
+K0_CODES |= {f"random-k0-n{n}": _random_code(n, n, random.Random(n))
+             for n in (1, 3, 4, 5, 6)}
+
+
+@pytest.mark.parametrize("name", list(SIM_CODES))
 @pytest.mark.parametrize("protocol", ["stabilizer", "nonstabilizer"])
 def test_simulate_counts_equal_measure_loop(name, protocol):
-    # Same counts as drawing each error as a GF4Vector and making the first
-    # measurement with measure(w, (P, I - P)).
-    code = get_code(name)
+    # Same counts as drawing each error as a GF4Vector and making both
+    # measurements with measure: (P, I - P), then (vv*, P - vv*) for the
+    # nonstabilizer protocol.
+    code = SIM_CODES[name]
     p_op = code_projector(code)
-    for p in (0.1, 0.5):
+    for p in (0.0, 0.1, 0.5, 0.75):
         report = simulate(code, p, 600, protocol=protocol, seed=5, shards=2)
         counts = (report.undetected_count, report.detected_count,
                   report.trivial_count)
         assert counts == simulate_loop(code, p_op, p, 600, protocol, 5, 2)
+
+
+@pytest.mark.parametrize("name", list(K0_CODES))
+def test_k0_code_has_no_undetected_errors(name):
+    # B = B-perp, so P_ue is 0 exactly; the uniform functional (exact error
+    # sum for n <= 4, sampled errors above) and both protocols agree.
+    code = K0_CODES[name]
+    assert code.dim == 1
+    pair = stabilizer_enumerators(code)
+    assert pair.weights == pair.dual_weights
+    p_op = code_projector(code)
+    for p in (0.3, 0.75):
+        assert pue_stabilizer(pair, Fraction(p), exact=True) == 0
+        assert pue_stabilizer(pair, p) == 0.0
+        assert abs(pue_nonstab_mc(p_op, 1, p, 400, seed=3).estimate) < 1e-10
+        for protocol in ("stabilizer", "nonstabilizer"):
+            report = simulate(code, p, 500, protocol=protocol, seed=8)
+            assert report.undetected_count == 0
+            assert report.detected_count > 0 and report.trivial_count > 0
 
 
 def test_simulate_json_schema():
