@@ -21,7 +21,7 @@ from .oracle import (classify_error, classify_error_dense, code_projector,
                      enumerators_bruteforce, partial_trace, pauli_matrix,
                      pue_composite_exact, pue_nonstab_mc, uniform_state,
                      verify_fourth_moment, verify_mean_projector)
-from .chansim import SimReport, measure, sample_error, simulate
+from .chansim import SimReport, simulate
 from .catalog import CATALOG, get_code
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ import numpy as np
 from .gf4 import AdditiveCode
 from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _hadamard, _sample_errors,
                      _shard_rng, _split, code_projector, uniform_state)
-from .oracle import sample_error  # noqa: F401  (public here too)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -67,21 +66,6 @@ class SimReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-def measure(state: np.ndarray, projectors, rng: np.random.Generator):
-    """Born-rule measurement: pick projector i with probability <v|P_i|v>.
-
-    Returns (i, normalized post-measurement state).  The outcome
-    probabilities must sum to 1 within 1e-9.
-    """
-    probs = [float(np.real(np.vdot(state, p @ state))) for p in projectors]
-    total = math.fsum(probs)
-    if abs(total - 1.0) > _BORN_TOL:
-        raise ValueError(f"measurement probabilities sum to {total}, not 1")
-    index = _born_index(probs, rng.random())
-    post = projectors[index] @ state
-    return index, post / math.sqrt(probs[index])
 
 
 def _born_index(probs, u: float) -> int:
@@ -130,7 +114,7 @@ def simulate(code: AdditiveCode, p: float, trials: int,
                     f"first measurement is not deterministic "
                     f"(probability {prob_code}); not a stabilizer setup")
 
-            # The Born draw of measure(w, (P, I - P), rng), from <w|P|w>.
+            # The Born draw against (P, I - P), from <w|P|w>.
             if _born_index((prob_code, 1 - prob_code), rng.random()) == 1:
                 detected += 1
                 continue
@@ -139,7 +123,7 @@ def simulate(code: AdditiveCode, p: float, trials: int,
             if protocol == "stabilizer":
                 same = overlap > _COLLINEAR
             else:
-                # The Born draw of measure(post, (vv*, P - vv*), rng).
+                # The Born draw of post against (vv*, P - vv*).
                 same = _born_index((overlap, 1 - overlap), rng.random()) == 0
             if same:
                 trivial += 1

@@ -32,6 +32,7 @@ from .gf4 import (AdditiveCode, CodeFormatError, GF4Vector, all_vectors, dual,
                   parse_code)
 
 _MODE_NAMES = {"s": "stabilizer", "n": "nonstabilizer", "c": "composite"}
+_MAX_SWEEP_POINTS = 10**6
 
 
 def _oracle_cap(override: int | None = None) -> int:
@@ -58,8 +59,18 @@ def _parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise CodeFormatError(f"malformed sweep {text!r}; expected a:b:step") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CodeFormatError(f"sweep {text!r} is not finite")
     if step <= 0:
         raise CodeFormatError("sweep step must be positive")
+    if start > stop:
+        raise CodeFormatError(f"sweep {text!r} starts after it stops")
+    # The loop below runs about (stop - start + 1e-12) / step times; a step
+    # below one ulp of x would leave x where it is.
+    if ((stop - start + 1e-12) / step >= _MAX_SWEEP_POINTS
+            or step < math.ulp(max(abs(start), abs(stop) + 1e-12))):
+        raise CodeFormatError(
+            f"sweep {text!r} has more than {_MAX_SWEEP_POINTS} points")
     grid = []
     x = start
     while x <= stop + 1e-12:
@@ -97,9 +108,9 @@ def cmd_simulate(args) -> int:
                               seed=args.seed, shards=args.shards,
                               cap=_oracle_cap())
     print(report.to_json())
-    analytic = pue.pue_stabilizer(stabilizer_enumerators(code), args.p)
-    if args.protocol == "nonstabilizer":
-        analytic *= code.dim / (code.dim + 1)
+    closed_form = (pue.pue_nonstabilizer if args.protocol == "nonstabilizer"
+                   else pue.pue_stabilizer)
+    analytic = closed_form(stabilizer_enumerators(code), args.p)
     if report.stderr > 0:
         sigmas = abs(report.estimate - analytic) / report.stderr
         print(f"analytic {analytic!r}, distance {sigmas:.2f} stderr",

@@ -41,6 +41,15 @@ DenseOperator = np.ndarray
 DEFAULT_ORACLE_CAP = 6
 COMPOSITE_CAP = 4
 
+# classify_error_dense treats a matrix as zero when every entry is below
+# this; the entries it compares are dyadic, so exact zeros stay far below.
+_CLASSIFY_TOL = 1e-10
+# Gaussian draws uniform_state projects before it gives up; only a (near)
+# zero projector keeps missing its range.
+_STATE_ATTEMPTS = 100
+# Jackknife blocks of verify_mean_projector and verify_fourth_moment.
+_MOMENT_BLOCKS = 100
+
 _PHASES = np.array([1, 1j, -1, -1j])
 
 
@@ -49,7 +58,7 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} exceeds the dense oracle cap of {cap} qubits")
 
 
-def _check_p(p: float) -> None:
+def _check_p(p) -> None:
     if not 0 <= p <= 0.75:
         raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
 
@@ -143,13 +152,6 @@ def _sample_errors(n: int, p: float, rng: np.random.Generator,
     return x, z
 
 
-def sample_error(n: int, p: float, rng: np.random.Generator) -> GF4Vector:
-    """One depolarizing-channel error: each position is hit independently
-    with probability p and then uniform over the three nonzero symbols."""
-    (x,), (z,) = _sample_errors(n, p, rng, 1)
-    return GF4Vector(n, _reverse_bits(int(x), n), _reverse_bits(int(z), n))
-
-
 def code_projector(code: AdditiveCode, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
     """Projector prod_g (I + G)/2 on the subspace stabilized by a
     self-orthogonal code, one factor per generator.
@@ -235,18 +237,18 @@ def classify_error(code: AdditiveCode, e: GF4Vector) -> str:
     return UNDETECTABLE
 
 
-def classify_error_dense(p_op: DenseOperator, e: GF4Vector, tol: float = 1e-10,
+def classify_error_dense(p_op: DenseOperator, e: GF4Vector,
                          cap: int = DEFAULT_ORACLE_CAP) -> str:
     """Matrix version of classify_error, from the action of E on the subspace."""
     _check_cap(e.n, cap)
     rows, phases = _pauli_action(e)
     ep = phases[:, None] * p_op[rows]
-    if np.max(np.abs(p_op @ ep)) < tol:
+    if np.max(np.abs(p_op @ ep)) < _CLASSIFY_TOL:
         return DETECTED
-    if np.max(np.abs(ep - p_op @ ep)) >= tol:
+    if np.max(np.abs(ep - p_op @ ep)) >= _CLASSIFY_TOL:
         raise ValueError("error neither preserves the subspace nor maps it "
                          "to the complement; not a valid stabilizer setup")
-    if min(np.max(np.abs(ep - p_op)), np.max(np.abs(ep + p_op))) < tol:
+    if min(np.max(np.abs(ep - p_op)), np.max(np.abs(ep + p_op))) < _CLASSIFY_TOL:
         return TRIVIAL
     return UNDETECTABLE
 
@@ -264,8 +266,7 @@ def partial_trace(m: DenseOperator, dims: tuple[int, int], over: str) -> DenseOp
     raise ValueError(f"over must be 'first' or 'second', not {over!r}")
 
 
-def uniform_state(p_op: DenseOperator, rng: np.random.Generator,
-                  max_attempts: int = 100) -> np.ndarray:
+def uniform_state(p_op: DenseOperator, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample from the unit sphere of the range of a projector.
 
     A standard complex Gaussian is projected and normalized; unitary
@@ -273,7 +274,7 @@ def uniform_state(p_op: DenseOperator, rng: np.random.Generator,
     subspace sphere.
     """
     dim = p_op.shape[0]
-    for _ in range(max_attempts):
+    for _ in range(_STATE_ATTEMPTS):
         g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         w = p_op @ g
         nrm = np.linalg.norm(w)
@@ -310,13 +311,13 @@ class MomentReport:
 
 
 def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
-                    blocks: int, expected: float) -> MomentReport:
+                    expected: float) -> MomentReport:
     """Accumulate block sums of a matrix-valued sampler and jackknife them.
 
     sample_block(count) must return the SUM of `count` fresh sample matrices;
     `expected` is the analytic rms deviation reported alongside.
     """
-    blocks = max(1, min(blocks, total))
+    blocks = max(1, min(_MOMENT_BLOCKS, total))
     sizes = _split(total, blocks)
     sums = [sample_block(m) for m in sizes]
     full = np.sum(sums, axis=0)
@@ -331,8 +332,7 @@ def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
 
 
 def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
-                          rng: np.random.Generator,
-                          blocks: int = 100) -> MomentReport:
+                          rng: np.random.Generator) -> MomentReport:
     """Check that the mean outer product of uniform subspace states is P/K."""
     target = p_op / dim
 
@@ -341,11 +341,11 @@ def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
         return w.T @ w.conj()
 
     expected = math.sqrt((1 - 1 / dim) / samples)
-    return _mc_matrix_mean(block, target, samples, blocks, expected)
+    return _mc_matrix_mean(block, target, samples, expected)
 
 
-def verify_fourth_moment(dim: int, samples: int, rng: np.random.Generator,
-                         blocks: int = 100) -> MomentReport:
+def verify_fourth_moment(dim: int, samples: int,
+                         rng: np.random.Generator) -> MomentReport:
     """Check the fourth-moment identity for uniform states on a K-sphere.
 
     The mean of vv* (x) vv* must equal (I + SWAP) / (K (K + 1)); the identity
@@ -364,7 +364,7 @@ def verify_fourth_moment(dim: int, samples: int, rng: np.random.Generator,
         return u.T @ u.conj()
 
     expected = math.sqrt((1 - 2 / (dim * (dim + 1))) / samples)
-    return _mc_matrix_mean(block, target, samples, blocks, expected)
+    return _mc_matrix_mean(block, target, samples, expected)
 
 
 def deviation_curve(kind: str, dim: int, sizes, replicates: int,

@@ -30,6 +30,7 @@ import numpy as np
 
 from .gf4 import AdditiveCode, dual
 from .enumerators import EnumeratorPair
+from .oracle import _check_p
 
 MODES = ("stabilizer", "nonstabilizer", "composite", "moments")
 
@@ -39,11 +40,6 @@ _ROW_CHUNK = 32
 # coefficients below 2^_MAX_BITS times factors in (0, 1] cannot overflow.
 _MAX_POW = 1000
 _MAX_BITS = 1000
-
-
-def _check_p(p) -> None:
-    if not 0 <= p <= 0.75:
-        raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
 
 
 def _split(d: int) -> tuple[float, int]:

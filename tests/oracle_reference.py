@@ -2,10 +2,12 @@
 protocol simulator.
 
 The library sums over all 4^n Pauli errors with Walsh-Hadamard transforms,
-draws sampled errors a block at a time, and takes the first Born draw of
-the simulator from <w|P|w>.  These are the slow forms it is checked
+draws sampled errors a block at a time, and decides each simulated trial
+from <w|P|w> and one overlap.  These are the slow forms it is checked
 against: one row gather per error (`oracle._pauli_action`), one GF4Vector
-per sampled error, and `chansim.measure` against (P, I - P).
+per sampled error (`sample_error_loop`), and the Born-rule measurement
+`measure`, which `simulate_loop` makes against (P, I - P) and then
+(vv*, P - vv*) with dense projectors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from qedet.chansim import _COLLINEAR, measure
+from qedet.chansim import _BORN_TOL, _COLLINEAR, _born_index
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors
 from qedet.oracle import (_pauli_action, _shard_rng, _split, _uniform_batch,
@@ -24,6 +26,21 @@ from qedet.oracle import (_pauli_action, _shard_rng, _split, _uniform_batch,
 def error_probability(v: GF4Vector, p: float) -> float:
     """Depolarizing-channel probability (p/3)^wt (1-p)^(n-wt) of a given error."""
     return (p / 3) ** v.weight * (1 - p) ** (v.n - v.weight)
+
+
+def measure(state: np.ndarray, projectors, rng: np.random.Generator):
+    """Born-rule measurement: pick projector i with probability <v|P_i|v>.
+
+    Returns (i, normalized post-measurement state).  The outcome
+    probabilities must sum to 1 within 1e-9.
+    """
+    probs = [float(np.real(np.vdot(state, p @ state))) for p in projectors]
+    total = math.fsum(probs)
+    if abs(total - 1.0) > _BORN_TOL:
+        raise ValueError(f"measurement probabilities sum to {total}, not 1")
+    index = _born_index(probs, rng.random())
+    post = projectors[index] @ state
+    return index, post / math.sqrt(probs[index])
 
 
 def sample_error_loop(n: int, p: float, rng: np.random.Generator) -> GF4Vector:

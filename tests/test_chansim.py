@@ -12,12 +12,14 @@ import pytest
 from scipy import stats
 
 from qedet.catalog import get_code
-from qedet.chansim import _born_index, measure, sample_error, simulate
+from qedet.chansim import _born_index, simulate
 from qedet.enumerators import stabilizer_enumerators
-from qedet.oracle import code_projector, pue_nonstab_mc
+from qedet.gf4 import GF4Vector
+from qedet.oracle import (_reverse_bits, _sample_errors, code_projector,
+                          pue_nonstab_mc)
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
-from oracle_reference import sample_error_loop, simulate_loop
+from oracle_reference import measure, sample_error_loop, simulate_loop
 from test_gf4 import _random_code
 
 
@@ -29,22 +31,20 @@ def _rng(seed=0):
 
 
 def test_sample_error_p_zero():
-    rng = _rng(0)
-    assert all(sample_error(6, 0.0, rng).is_zero for _ in range(200))
+    x, z = _sample_errors(6, 0.0, _rng(0), 200)
+    assert not (x | z).any()
 
 
 def test_sample_error_range_check():
     with pytest.raises(ValueError):
-        sample_error(3, 0.8, _rng(0))
+        _sample_errors(3, 0.8, _rng(0), 1)
 
 
 def test_sample_error_weight_is_binomial():
     # chi-squared against Binomial(n, p) over 10^5 draws, alpha = 0.001.
     n, p, draws = 5, 0.3, 100000
-    rng = _rng(42)
-    observed = np.zeros(n + 1)
-    for _ in range(draws):
-        observed[sample_error(n, p, rng).weight] += 1
+    x, z = _sample_errors(n, p, _rng(42), draws)
+    observed = np.bincount(np.bitwise_count(x | z), minlength=n + 1)
     expected = np.array([math.comb(n, w) * p**w * (1 - p) ** (n - w)
                          for w in range(n + 1)]) * draws
     _, pvalue = stats.chisquare(observed, expected)
@@ -53,11 +53,8 @@ def test_sample_error_weight_is_binomial():
 
 def test_sample_error_uniform_symbols_at_three_quarters():
     # At p = 3/4 every one of the four symbols is equally likely per position.
-    rng = _rng(1)
-    counts = np.zeros(4)
-    for _ in range(40000):
-        e = sample_error(1, 0.75, rng)
-        counts[e.x | (e.z << 1)] += 1
+    x, z = _sample_errors(1, 0.75, _rng(1), 40000)
+    counts = np.bincount(x | (z << 1), minlength=4)
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.001
 
@@ -69,13 +66,15 @@ def test_sample_error_consumes_stream_like_loop(n, p):
     # exactly as the one-word shape-(n,) draws do.
     a, b = _rng(n), _rng(n)
     for _ in range(50):
-        assert sample_error(n, p, a) == sample_error_loop(n, p, b)
+        (x,), (z,) = _sample_errors(n, p, a, 1)
+        e = GF4Vector(n, _reverse_bits(int(x), n), _reverse_bits(int(z), n))
+        assert e == sample_error_loop(n, p, b)
     assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_sample_error_beyond_int64():
-    e = sample_error(100, 0.75, _rng(6))
-    assert e.n == 100 and e.weight > 64
+    (x,), (z,) = _sample_errors(100, 0.75, _rng(6), 1)
+    assert (x | z).bit_count() > 64 and (x | z) >> 100 == 0
 
 
 # --- Born measurement ----------------------------------------------------------

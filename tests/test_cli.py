@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qedet.catalog import get_code
 from qedet.cli import main
+from qedet.enumerators import stabilizer_enumerators
+from qedet.pue import pue_nonstabilizer, pue_stabilizer
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -99,6 +108,36 @@ def test_pue_out_of_range_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("sweep, exit_code", [
+    ("0:inf:0.1", 2),          # unbounded
+    ("0:0.75:1e-300", 2),      # 7.5e299 points
+    ("0:0.75:1e-7", 2),        # 7.5e6 points
+    ("0.5:0.5:1e-17", 2),      # x += step never moves x
+    ("nan:0.75:0.1", 2),
+    ("0:nan:0.1", 2),
+    ("0:0.75:inf", 2),
+    ("0.5:0.25:0.1", 2),       # starts after it stops
+    ("0:0.9:0.1", 1),          # a finite grid leaving [0, 3/4]
+])
+def test_pue_bad_sweep_exits_promptly(sweep, exit_code):
+    # In a subprocess, so that a grid loop that never ends fails the test
+    # instead of hanging the suite.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qedet.cli", "pue", "c422",
+             f"--sweep={sweep}"],
+            env=env, capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"qed pue --sweep={sweep} did not exit within 30 s")
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_pue_nonstabilizer_mode(capsys):
     code, out, _ = run(capsys, "pue", "trivial-n1", "--p", "0.3", "--mode", "n")
     assert code == 0
@@ -121,6 +160,16 @@ def test_simulate_reports_sigma_distance(capsys):
                        "--trials", "2000", "--seed", "3")
     assert code == 0
     assert "stderr" in err  # analytic comparison goes to stderr, not stdout
+
+
+@pytest.mark.parametrize("protocol, closed_form", [
+    ("stabilizer", pue_stabilizer), ("nonstabilizer", pue_nonstabilizer)])
+def test_simulate_analytic_is_the_closed_form(capsys, protocol, closed_form):
+    code, _, err = run(capsys, "simulate", "c422", "--p", "0.1",
+                       "--trials", "300", "--protocol", protocol)
+    assert code == 0
+    analytic = closed_form(stabilizer_enumerators(get_code("c422")), 0.1)
+    assert err.startswith(f"analytic {analytic!r},")
 
 
 def test_simulate_zero_trials_exits_1(capsys):

@@ -1,4 +1,5 @@
-"""The demos that walk through the sweep and enumerator API run cleanly."""
+"""The demos that walk through the sweep, enumerator and subspace-sampling
+API run cleanly."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["undetected_error_sweep.py",
-                                  "weight_enumerators.py"])
+                                  "weight_enumerators.py",
+                                  "subspace_sampling.py"])
 def test_demo_exits_0(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -44,6 +44,10 @@ def test_p_out_of_range(pairs):
     for bad in (-0.01, 0.76, 1.0):
         with pytest.raises(ValueError):
             pue_stabilizer(pairs["c422"], bad)
+    # The check compares exact rationals exactly: 3/4 is in range, 19/25 not.
+    assert pue_stabilizer(pairs["c422"], Fraction(3, 4), exact=True) > 0
+    with pytest.raises(ValueError):
+        pue_stabilizer(pairs["c422"], Fraction(76, 100), exact=True)
 
 
 def test_trivial_code_identity(pairs):
