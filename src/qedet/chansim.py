@@ -1,12 +1,18 @@
 """Seeded Monte Carlo simulation of the detection protocol.
 
-Per trial: draw a uniform state v of the stabilized subspace, hit it with an
-i.i.d. depolarizing error (w = E v), Born-measure against (P, I - P), and
-classify the outcome.  Both protocols read one overlap, |<v, post>|^2 =
+A trial sends a uniform state v of the stabilized subspace, hits it with an
+i.i.d. depolarizing error (w = E v), Born-measures against (P, I - P), and
+classifies the outcome.  Both protocols read one overlap, |<v, post>|^2 =
 |<v, w>|^2 / <w|P|w> for post = Pw / |Pw| (P v = v and P is Hermitian): the
 stabilizer protocol checks it for collinearity, and the "nonstabilizer"
 protocol's second measurement, against (vv*, P - vv*), is the Born draw
 whose first outcome has that overlap as its probability.
+
+Trials run in chunks of `_CHUNK`.  A chunk draws, in this order, a block of
+states, a block of one error per state, a block of uniforms u1 for the
+first measurement and, for the nonstabilizer protocol only, a block of
+uniforms u2 for the second (one per trial, used or not), and then decides
+every trial of the chunk with row-wise array operations.
 
 Randomness comes from numpy's PCG64; shard s of a run draws from
 SeedSequence(seed, spawn_key=(s,)).  Reports are bit-for-bit reproducible
@@ -24,7 +30,7 @@ import numpy as np
 
 from .gf4 import AdditiveCode
 from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _hadamard, _sample_errors,
-                     _shard_rng, _split, code_projector, uniform_state)
+                     _shard_rng, _split, _uniform_batch, code_projector)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -33,6 +39,9 @@ PROTOCOLS = ("stabilizer", "nonstabilizer")
 _COLLINEAR = 1 - 1e-9
 
 _BORN_TOL = 1e-9
+
+# Trials decided per block of draws.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -68,15 +77,11 @@ class SimReport:
         return json.dumps(self.to_dict())
 
 
-def _born_index(probs, u: float) -> int:
-    """The first outcome whose cumulative probability exceeds the uniform
-    draw u; the most likely outcome if float slack leaves u above them all."""
-    acc = 0.0
-    for i, pr in enumerate(probs):
-        acc += pr
-        if u < acc:
-            return i
-    return max(range(len(probs)), key=probs.__getitem__)
+def _born_first(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Whether each Born draw between two outcomes of probabilities
+    (pr, 1 - pr) takes the first: the uniform u lies below pr, or float slack
+    leaves u above pr + (1 - pr) and the first outcome is the more likely."""
+    return (u < probs) | ((u >= probs + (1 - probs)) & (probs >= 1 - probs))
 
 
 def simulate(code: AdditiveCode, p: float, trials: int,
@@ -97,38 +102,41 @@ def simulate(code: AdditiveCode, p: float, trials: int,
 
     undetected = detected = trivial = 0
     for shard, m in enumerate(_split(trials, shards)):
-        if m == 0:
-            continue
         rng = _shard_rng(seed, shard)
-        for _ in range(m):
-            v = uniform_state(p_op, rng)
-            (x,), (z,) = _sample_errors(code.n, p, rng, 1)
+        for done in range(0, m, _CHUNK):
+            c = min(_CHUNK, m - done)
+            v = _uniform_batch(p_op, c, rng)
+            x, z = _sample_errors(code.n, p, rng, c)
+            u1 = rng.random(c)
+            u2 = rng.random(c) if protocol == "nonstabilizer" else None
             # E|k> = i^|x&z| (-1)^|k&z| |k^x>, as in oracle._pauli_action;
             # the global phase cancels in both overlaps below and is dropped.
-            w = (hadamard[z] * v)[k ^ x]
+            w = np.take_along_axis(hadamard[z] * v, k ^ x[:, None], axis=1)
 
             # For a stabilizer code the first measurement never splits.
-            prob_code = float(np.real(np.vdot(w, p_op @ w)))
-            if min(prob_code, 1 - prob_code) > _BORN_TOL:
+            prob_code = np.sum(w.conj() * (w @ p_op.T), axis=1).real
+            mixed = np.flatnonzero(np.minimum(prob_code, 1 - prob_code)
+                                   > _BORN_TOL)
+            if len(mixed):
                 raise ValueError(
                     f"first measurement is not deterministic "
-                    f"(probability {prob_code}); not a stabilizer setup")
+                    f"(probability {prob_code[mixed[0]]}); "
+                    f"not a stabilizer setup")
 
             # The Born draw against (P, I - P), from <w|P|w>.
-            if _born_index((prob_code, 1 - prob_code), rng.random()) == 1:
-                detected += 1
-                continue
+            kept = _born_first(prob_code, u1)
+            detected += c - int(np.count_nonzero(kept))
             # |<v, post>|^2 for post = Pw / sqrt(<w|P|w>).
-            overlap = abs(np.vdot(v, w)) ** 2 / prob_code
+            overlap = (np.abs(np.sum(v[kept].conj() * w[kept], axis=1)) ** 2
+                       / prob_code[kept])
             if protocol == "stabilizer":
                 same = overlap > _COLLINEAR
             else:
                 # The Born draw of post against (vv*, P - vv*).
-                same = _born_index((overlap, 1 - overlap), rng.random()) == 0
-            if same:
-                trivial += 1
-            else:
-                undetected += 1
+                same = _born_first(overlap, u2[kept])
+            hits = int(np.count_nonzero(same))
+            trivial += hits
+            undetected += len(same) - hits
 
     estimate = undetected / trials
     stderr = math.sqrt(estimate * (1 - estimate) / trials)

@@ -41,6 +41,26 @@ def _oracle_cap(override: int | None = None) -> int:
     return int(os.environ.get("QED_ORACLE_CAP", oracle.DEFAULT_ORACLE_CAP))
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite, non-negative float."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite tolerance >= 0")
+    return value
+_tolerance.__name__ = "float"
+
+
 def _load_code(ref: str) -> AdditiveCode:
     if ref in CATALOG:
         return parse_code(CATALOG[ref])
@@ -255,16 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="cross-check against the dense oracle")
     p_ver.add_argument("code")
     p_ver.add_argument("--max-n", type=int, default=None)
-    p_ver.add_argument("--tol", type=float, default=1e-10)
-    p_ver.add_argument("--samples", type=int, default=20000)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--tol", type=_tolerance, default=1e-10)
+    # The moment checks jackknife over at least two blocks.
+    p_ver.add_argument("--samples", type=_int_at_least(2), default=20000)
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol simulation")
     p_sim.add_argument("code")
     p_sim.add_argument("--p", type=float, required=True)
     p_sim.add_argument("--trials", type=int, default=100000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sim.add_argument("--shards", type=int, default=1)
     p_sim.add_argument("--protocol", choices=chansim.PROTOCOLS,
                        default="stabilizer")

@@ -44,8 +44,8 @@ COMPOSITE_CAP = 4
 # classify_error_dense treats a matrix as zero when every entry is below
 # this; the entries it compares are dyadic, so exact zeros stay far below.
 _CLASSIFY_TOL = 1e-10
-# Gaussian draws uniform_state projects before it gives up; only a (near)
-# zero projector keeps missing its range.
+# Gaussian draws _uniform_batch projects for a row before it gives up; only
+# a (near) zero projector keeps missing its range.
 _STATE_ATTEMPTS = 100
 # Jackknife blocks of verify_mean_projector and verify_fourth_moment.
 _MOMENT_BLOCKS = 100
@@ -267,33 +267,36 @@ def partial_trace(m: DenseOperator, dims: tuple[int, int], over: str) -> DenseOp
 
 
 def uniform_state(p_op: DenseOperator, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample from the unit sphere of the range of a projector.
-
-    A standard complex Gaussian is projected and normalized; unitary
-    invariance of the Gaussian makes the result exactly uniform on the
-    subspace sphere.
-    """
-    dim = p_op.shape[0]
-    for _ in range(_STATE_ATTEMPTS):
-        g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        w = p_op @ g
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            return w / nrm
-    raise RuntimeError("projection kept vanishing; is the projector zero?")
+    """Uniform sample from the unit sphere of the range of a projector."""
+    return _uniform_batch(p_op, 1, rng)[0]
 
 
 def _uniform_batch(p_op: DenseOperator, count: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """(count, dim) array of uniform subspace states."""
+    """(count, dim) array of uniform samples from the unit sphere of the
+    range of a projector.
+
+    A standard complex Gaussian is projected and normalized; unitary
+    invariance of the Gaussian makes the result exactly uniform on the
+    subspace sphere.  Rows whose projection (nearly) vanishes are redrawn,
+    all of them in one block, up to `_STATE_ATTEMPTS` draws in all.
+    """
     dim = p_op.shape[0]
-    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    w = g @ p_op.T
-    nrm = np.linalg.norm(w, axis=1)
-    bad = nrm <= 1e-8
-    for i in np.flatnonzero(bad):
-        w[i] = uniform_state(p_op, rng)
-        nrm[i] = 1.0
+
+    def project(rows: int) -> tuple[np.ndarray, np.ndarray]:
+        g = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+        w = g @ p_op.T
+        return w, np.linalg.norm(w, axis=1)
+
+    w, nrm = project(count)
+    todo = np.flatnonzero(nrm <= 1e-8)
+    for _ in range(_STATE_ATTEMPTS - 1):
+        if not len(todo):
+            break
+        w[todo], nrm[todo] = project(len(todo))
+        todo = todo[nrm[todo] <= 1e-8]
+    if len(todo):
+        raise RuntimeError("projection kept vanishing; is the projector zero?")
     return w / nrm[:, None]
 
 
@@ -311,24 +314,26 @@ class MomentReport:
 
 
 def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
-                    expected: float) -> MomentReport:
+                    unit_var: float) -> MomentReport:
     """Accumulate block sums of a matrix-valued sampler and jackknife them.
 
     sample_block(count) must return the SUM of `count` fresh sample matrices;
-    `expected` is the analytic rms deviation reported alongside.
+    unit_var / total is the analytic mean-square deviation reported alongside.
+    The jackknife needs two blocks, so `total` must be at least 2.
     """
-    blocks = max(1, min(_MOMENT_BLOCKS, total))
+    if total < 2:
+        raise ValueError(f"a moment check needs at least 2 samples, not {total}")
+    blocks = min(_MOMENT_BLOCKS, total)
     sizes = _split(total, blocks)
     sums = [sample_block(m) for m in sizes]
     full = np.sum(sums, axis=0)
     deviation = float(np.linalg.norm(full / total - target))
 
-    if blocks == 1:
-        return MomentReport(deviation, 0.0, expected, total)
     loo = np.array([(full - s) / (total - m) for s, m in zip(sums, sizes)])
     center = loo.mean(axis=0)
     var = (blocks - 1) / blocks * np.sum(np.abs(loo - center) ** 2)
-    return MomentReport(deviation, float(math.sqrt(var)), expected, total)
+    return MomentReport(deviation, float(math.sqrt(var)),
+                        math.sqrt(unit_var / total), total)
 
 
 def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
@@ -340,8 +345,7 @@ def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
         w = _uniform_batch(p_op, count, rng)
         return w.T @ w.conj()
 
-    expected = math.sqrt((1 - 1 / dim) / samples)
-    return _mc_matrix_mean(block, target, samples, expected)
+    return _mc_matrix_mean(block, target, samples, 1 - 1 / dim)
 
 
 def verify_fourth_moment(dim: int, samples: int,
@@ -363,8 +367,7 @@ def verify_fourth_moment(dim: int, samples: int,
         u = np.einsum("ni,nj->nij", v, v).reshape(count, dim * dim)
         return u.T @ u.conj()
 
-    expected = math.sqrt((1 - 2 / (dim * (dim + 1))) / samples)
-    return _mc_matrix_mean(block, target, samples, expected)
+    return _mc_matrix_mean(block, target, samples, 1 - 2 / (dim * (dim + 1)))
 
 
 def deviation_curve(kind: str, dim: int, sizes, replicates: int,

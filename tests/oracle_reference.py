@@ -2,12 +2,15 @@
 protocol simulator.
 
 The library sums over all 4^n Pauli errors with Walsh-Hadamard transforms,
-draws sampled errors a block at a time, and decides each simulated trial
-from <w|P|w> and one overlap.  These are the slow forms it is checked
-against: one row gather per error (`oracle._pauli_action`), one GF4Vector
-per sampled error (`sample_error_loop`), and the Born-rule measurement
-`measure`, which `simulate_loop` makes against (P, I - P) and then
-(vv*, P - vv*) with dense projectors.
+draws sampled errors a block at a time, and decides a chunk of simulated
+trials at once from <w|P|w> and one overlap per trial.  These are the slow
+forms it is checked against: one row gather per error
+(`oracle._pauli_action`), one GF4Vector per sampled error, built bit by bit
+(`sample_errors_loop`), and the Born-rule measurement `measure`.
+`simulate_loop` takes the same blocks of draws as the simulator (states,
+errors, u1, then u2 for the nonstabilizer protocol) and plays each trial on
+its own, measuring against (P, I - P) and then (vv*, P - vv*) with dense
+projectors, each measurement replaying its pre-drawn uniform.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import math
 
 import numpy as np
 
-from qedet.chansim import _BORN_TOL, _COLLINEAR, _born_index
+from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors
 from qedet.oracle import (_pauli_action, _shard_rng, _split, _uniform_batch,
-                          pauli_matrix, uniform_state)
+                          pauli_matrix)
 
 
 def error_probability(v: GF4Vector, p: float) -> float:
@@ -28,8 +31,20 @@ def error_probability(v: GF4Vector, p: float) -> float:
     return (p / 3) ** v.weight * (1 - p) ** (v.n - v.weight)
 
 
-def measure(state: np.ndarray, projectors, rng: np.random.Generator):
-    """Born-rule measurement: pick projector i with probability <v|P_i|v>.
+def _born_index(probs, u: float) -> int:
+    """The first outcome whose cumulative probability exceeds the uniform
+    draw u; the most likely outcome if float slack leaves u above them all."""
+    acc = 0.0
+    for i, pr in enumerate(probs):
+        acc += pr
+        if u < acc:
+            return i
+    return max(range(len(probs)), key=probs.__getitem__)
+
+
+def measure(state: np.ndarray, projectors, u: float):
+    """Born-rule measurement: pick projector i with probability <v|P_i|v>,
+    by the uniform draw u.
 
     Returns (i, normalized post-measurement state).  The outcome
     probabilities must sum to 1 within 1e-9.
@@ -38,22 +53,27 @@ def measure(state: np.ndarray, projectors, rng: np.random.Generator):
     total = math.fsum(probs)
     if abs(total - 1.0) > _BORN_TOL:
         raise ValueError(f"measurement probabilities sum to {total}, not 1")
-    index = _born_index(probs, rng.random())
+    index = _born_index(probs, u)
     post = projectors[index] @ state
     return index, post / math.sqrt(probs[index])
 
 
-def sample_error_loop(n: int, p: float, rng: np.random.Generator) -> GF4Vector:
-    """One depolarizing-channel error from shape-(n,) draws, bit by bit."""
-    x = z = 0
-    hit = rng.random(n) < p
-    kinds = rng.integers(0, 3, size=n)
-    for q in range(n):
-        if hit[q]:
-            xb, zb = ((1, 0), (0, 1), (1, 1))[kinds[q]]
-            x |= xb << q
-            z |= zb << q
-    return GF4Vector(n, x, z)
+def sample_errors_loop(n: int, p: float, rng: np.random.Generator,
+                       count: int) -> list[GF4Vector]:
+    """`count` depolarizing-channel errors from shape-(count, n) draws, each
+    built bit by bit."""
+    hit = rng.random((count, n)) < p
+    kinds = rng.integers(0, 3, size=(count, n))
+    errors = []
+    for row_hit, row_kinds in zip(hit, kinds):
+        x = z = 0
+        for q in range(n):
+            if row_hit[q]:
+                xb, zb = ((1, 0), (0, 1), (1, 1))[row_kinds[q]]
+                x |= xb << q
+                z |= zb << q
+        errors.append(GF4Vector(n, x, z))
+    return errors
 
 
 def enumerators_loop(p_op: np.ndarray, dim: int) -> EnumeratorPair:
@@ -129,26 +149,32 @@ def sampled_values_dense(p_op: np.ndarray, v: np.ndarray,
 def simulate_loop(code, p_op: np.ndarray, p: float, trials: int,
                   protocol: str, seed: int, shards: int) -> tuple[int, int, int]:
     """(undetected, detected, trivial) counts of the protocol, trial by trial,
-    with both measurements made by `measure`."""
+    with both measurements made by `measure` from the simulator's blocks of
+    draws."""
     p_perp = np.eye(len(p_op), dtype=complex) - p_op
     undetected = detected = trivial = 0
     for shard, m in enumerate(_split(trials, shards)):
         rng = _shard_rng(seed, shard)
-        for _ in range(m):
-            v = uniform_state(p_op, rng)
-            rows, phases = _pauli_action(sample_error_loop(code.n, p, rng))
-            w = phases * v[rows]
-            index, z = measure(w, (p_op, p_perp), rng)
-            if index == 1:
-                detected += 1
-                continue
-            if protocol == "stabilizer":
-                same = abs(np.vdot(z, v)) ** 2 > _COLLINEAR
-            else:
-                vv = np.outer(v, v.conj())
-                same = measure(z, (vv, p_op - vv), rng)[0] == 0
-            if same:
-                trivial += 1
-            else:
-                undetected += 1
+        for done in range(0, m, _CHUNK):
+            c = min(_CHUNK, m - done)
+            states = _uniform_batch(p_op, c, rng)
+            errors = sample_errors_loop(code.n, p, rng, c)
+            u1 = rng.random(c)
+            u2 = rng.random(c) if protocol == "nonstabilizer" else None
+            for i, (v, e) in enumerate(zip(states, errors)):
+                rows, phases = _pauli_action(e)
+                w = phases * v[rows]
+                index, post = measure(w, (p_op, p_perp), u1[i])
+                if index == 1:
+                    detected += 1
+                    continue
+                if protocol == "stabilizer":
+                    same = abs(np.vdot(post, v)) ** 2 > _COLLINEAR
+                else:
+                    vv = np.outer(v, v.conj())
+                    same = measure(post, (vv, p_op - vv), u2[i])[0] == 0
+                if same:
+                    trivial += 1
+                else:
+                    undetected += 1
     return undetected, detected, trivial

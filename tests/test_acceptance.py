@@ -25,7 +25,7 @@ from qedet.oracle import (code_projector, deviation_curve,
 from qedet.pue import (pue_nonstabilizer, pue_stabilizer,
                        pue_stabilizer_direct, pue_via_moments)
 
-from oracle_reference import sample_error_loop
+from oracle_reference import sample_errors_loop
 
 GRID20 = [i * 0.75 / 19 for i in range(20)]
 
@@ -181,7 +181,7 @@ def test_09_channel_simulator(catalog):
         rng = np.random.default_rng(17)
         for _ in range(500):
             v = uniform_state(p_op, rng)
-            e = sample_error_loop(4, 0.25, rng)
+            e, = sample_errors_loop(4, 0.25, rng, 1)
             w = pauli_matrix(e) @ v
             prob = float(np.real(np.vdot(w, p_op @ w)))
             assert min(prob, 1 - prob) <= 1e-9

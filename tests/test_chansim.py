@@ -12,14 +12,16 @@ import pytest
 from scipy import stats
 
 from qedet.catalog import get_code
-from qedet.chansim import _born_index, simulate
+from qedet import chansim
+from qedet.chansim import _CHUNK, _born_first, simulate
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import GF4Vector
-from qedet.oracle import (_reverse_bits, _sample_errors, code_projector,
-                          pue_nonstab_mc)
+from qedet.oracle import (_reverse_bits, _sample_errors, _shard_rng,
+                          _uniform_batch, code_projector, pue_nonstab_mc)
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
-from oracle_reference import measure, sample_error_loop, simulate_loop
+from oracle_reference import (_born_index, measure, sample_errors_loop,
+                              simulate_loop)
 from test_gf4 import _random_code
 
 
@@ -62,13 +64,14 @@ def test_sample_error_uniform_symbols_at_three_quarters():
 @pytest.mark.parametrize("n", [0, 1, 4, 5, 6])
 @pytest.mark.parametrize("p", [0.1, 0.75])
 def test_sample_error_consumes_stream_like_loop(n, p):
-    # The block sampler draws shape-(1, n) arrays; they must use the stream
-    # exactly as the one-word shape-(n,) draws do.
+    # The bit-packed block sampler must give the errors the bit-by-bit
+    # reference builds from the same draws, and use the stream as it does.
     a, b = _rng(n), _rng(n)
-    for _ in range(50):
-        (x,), (z,) = _sample_errors(n, p, a, 1)
-        e = GF4Vector(n, _reverse_bits(int(x), n), _reverse_bits(int(z), n))
-        assert e == sample_error_loop(n, p, b)
+    for count in (1, 7, 50):
+        x, z = _sample_errors(n, p, a, count)
+        got = [GF4Vector(n, _reverse_bits(int(xi), n), _reverse_bits(int(zi), n))
+               for xi, zi in zip(x, z)]
+        assert got == sample_errors_loop(n, p, b, count)
     assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -88,7 +91,7 @@ def test_measure_eigenstate_is_deterministic():
     v = p @ v
     v /= np.linalg.norm(v)
     for _ in range(20):
-        idx, post = measure(v, (p, np.eye(16) - p), rng)
+        idx, post = measure(v, (p, np.eye(16) - p), rng.random())
         assert idx == 0
         assert np.allclose(post, v)
 
@@ -99,7 +102,7 @@ def test_measure_unit_norm_output():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     v = np.array([0.6, 0.8], dtype=complex)
     for _ in range(50):
-        _, post = measure(v, (p0, p1), rng)
+        _, post = measure(v, (p0, p1), rng.random())
         assert abs(np.linalg.norm(post) - 1) < 1e-12
 
 
@@ -109,7 +112,7 @@ def test_measure_fifty_fifty_statistics():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     v = np.array([1, 1], dtype=complex) / math.sqrt(2)
     draws = 10000
-    ones = sum(measure(v, (p0, p1), rng)[0] for _ in range(draws))
+    ones = sum(measure(v, (p0, p1), rng.random())[0] for _ in range(draws))
     sigma = math.sqrt(0.25 / draws)
     assert abs(ones / draws - 0.5) <= 4 * sigma
 
@@ -119,7 +122,7 @@ def test_measure_rejects_incomplete_projectors():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     v = np.array([0.6, 0.8], dtype=complex)
     with pytest.raises(ValueError):
-        measure(v, (p0,), rng)
+        measure(v, (p0,), rng.random())
 
 
 def test_born_index_cumulative_and_fallback():
@@ -129,6 +132,18 @@ def test_born_index_cumulative_and_fallback():
     # the most likely one is taken, not the last.
     assert _born_index((0.7, 0.3 - 1e-12), 1 - 1e-13) == 0
     assert _born_index((0.3 - 1e-12, 0.7), 1 - 1e-13) == 1
+    # The simulator's row-wise draw agrees with it on (pr, 1 - pr): at the
+    # cut points, at and just past the ends of [0, 1], at a tie, and at
+    # random points.
+    eps = np.finfo(float).eps
+    probs = np.array([0.25, 0.25, 0.25, 0.0, 1.0, 1 - eps, 0.5, 0.5, 1e-17,
+                      1 + 2 * eps, -1e-17])
+    u = np.array([0.2, 0.25, 0.9, 0.0, 1 - eps, 1 - eps, 0.5, 1 - eps, 0.0,
+                  1 - eps, 0.0])
+    probs = np.concatenate([probs, _rng(6).random(200) ** 3])
+    u = np.concatenate([u, _rng(7).random(200)])
+    want = [_born_index((pr, 1 - pr), x) == 0 for pr, x in zip(probs, u)]
+    assert _born_first(probs, u).tolist() == want
 
 
 # --- full protocol -------------------------------------------------------------
@@ -229,6 +244,37 @@ def test_simulate_counts_equal_measure_loop(name, protocol):
         counts = (report.undetected_count, report.detected_count,
                   report.trivial_count)
         assert counts == simulate_loop(code, p_op, p, 600, protocol, 5, 2)
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                    2 * _CHUNK + 1])
+@pytest.mark.parametrize("protocol", ["stabilizer", "nonstabilizer"])
+def test_simulate_counts_equal_measure_loop_at_chunk_edges(trials, protocol):
+    # One trial, a chunk short by one, full, one over, and two full chunks
+    # plus a one-trial remainder: every trial is played and drawn in order.
+    code = get_code("c422")
+    p_op = code_projector(code)
+    report = simulate(code, 0.5, trials, protocol=protocol, seed=6)
+    counts = (report.undetected_count, report.detected_count,
+              report.trivial_count)
+    assert sum(counts) == trials
+    assert counts == simulate_loop(code, p_op, 0.5, trials, protocol, 6, 1)
+
+
+def test_simulate_rejects_a_split_first_measurement(monkeypatch):
+    # A generic rank-1 projector at n = 1 is no stabilizer projector: every
+    # non-identity error splits the first measurement.  At this seed the
+    # first trial's error is the identity and a later one's is not, so the
+    # check must look past the chunk's first row.
+    a = np.array([math.cos(0.3), np.exp(0.7j) * math.sin(0.3)])
+    p_op = np.outer(a, a.conj())
+    monkeypatch.setattr(chansim, "code_projector", lambda code, cap: p_op)
+    rng = _shard_rng(4, 0)
+    _uniform_batch(p_op, 40, rng)
+    x, z = _sample_errors(1, 0.1, rng, 40)
+    assert x[0] == z[0] == 0 and (x | z).any()
+    with pytest.raises(ValueError, match="not deterministic"):
+        simulate(get_code("trivial-n1"), 0.1, 40, seed=4)
 
 
 @pytest.mark.parametrize("name", list(K0_CODES))

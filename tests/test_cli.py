@@ -262,6 +262,24 @@ def test_verify_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "c422", "--samples", "1"),       # one jackknife block
+    ("verify", "c422", "--seed", "-1"),
+    ("simulate", "c422", "--p", "0.1", "--seed", "-1"),
+    ("verify", "bell", "--tol", "nan"),
+    ("verify", "bell", "--tol", "inf"),
+    ("verify", "bell", "--tol", "-1e-3"),
+], ids=["verify-samples-1", "verify-seed-negative", "simulate-seed-negative",
+        "verify-tol-nan", "verify-tol-inf", "verify-tol-negative"])
+def test_bad_numeric_option_exits_2_before_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"error: argument {argv[-2]}" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

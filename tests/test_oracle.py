@@ -388,6 +388,16 @@ def test_fourth_moment_rank_one_exact():
     assert report.deviation < 1e-12
 
 
+def test_moment_checks_need_two_samples():
+    # One sample is one jackknife block, whose band has zero width.
+    p = code_projector(get_code("five13"))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        verify_mean_projector(p, 2, 1, _rng(12))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        verify_fourth_moment(2, 1, _rng(12))
+    assert verify_fourth_moment(2, 2, _rng(12)).sigma > 0
+
+
 def test_fourth_moment_target_trace():
     # The analytic fourth-moment target is Hermitian with unit trace.
     for dim in (2, 3, 4):
