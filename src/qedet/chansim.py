@@ -9,10 +9,12 @@ protocol's second measurement, against (vv*, P - vv*), is the Born draw
 whose first outcome has that overlap as its probability.
 
 Trials run in chunks of `_CHUNK`.  A chunk draws, in this order, a block of
-states, a block of one error per state, a block of uniforms u1 for the
-first measurement and, for the nonstabilizer protocol only, a block of
-uniforms u2 for the second (one per trial, used or not), and then decides
-every trial of the chunk with row-wise array operations.
+states (2K normals each, against the range basis L of P from
+`oracle._range_basis`), a block of one error per state, a block of
+uniforms u1 for the first measurement and, for the nonstabilizer protocol
+only, a block of uniforms u2 for the second (one per trial, used or not),
+and then decides every trial of the chunk with row-wise array operations;
+<w|P|w> is ||L^dag w||^2.
 
 Randomness comes from numpy's PCG64; shard s of a run draws from
 SeedSequence(seed, spawn_key=(s,)).  Reports are bit-for-bit reproducible
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf4 import AdditiveCode
-from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _hadamard, _sample_errors,
-                     _shard_rng, _split, _uniform_batch, code_projector)
+from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _hadamard, _range_basis,
+                     _sample_errors, _shard_rng, _split, _uniform_batch,
+                     code_projector)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -97,6 +100,7 @@ def simulate(code: AdditiveCode, p: float, trials: int,
     _check_p(p)
 
     p_op = code_projector(code, cap)
+    basis = _range_basis(p_op)
     hadamard = _hadamard(code.n)
     k = np.arange(len(p_op))
 
@@ -105,7 +109,7 @@ def simulate(code: AdditiveCode, p: float, trials: int,
         rng = _shard_rng(seed, shard)
         for done in range(0, m, _CHUNK):
             c = min(_CHUNK, m - done)
-            v = _uniform_batch(p_op, c, rng)
+            v = _uniform_batch(basis, c, rng)
             x, z = _sample_errors(code.n, p, rng, c)
             u1 = rng.random(c)
             u2 = rng.random(c) if protocol == "nonstabilizer" else None
@@ -114,7 +118,8 @@ def simulate(code: AdditiveCode, p: float, trials: int,
             w = np.take_along_axis(hadamard[z] * v, k ^ x[:, None], axis=1)
 
             # For a stabilizer code the first measurement never splits.
-            prob_code = np.sum(w.conj() * (w @ p_op.T), axis=1).real
+            # <w|P|w> = ||L^dag w||^2 for the range basis L of P.
+            prob_code = np.sum(np.abs(w @ basis.conj()) ** 2, axis=1)
             mixed = np.flatnonzero(np.minimum(prob_code, 1 - prob_code)
                                    > _BORN_TOL)
             if len(mixed):

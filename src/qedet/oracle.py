@@ -19,6 +19,13 @@ gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.  Likewise
 sum_E Pr(E) E^dag P E = sum_x W_x[j^k] P[j^x, k^x], where W_x is the
 Hadamard transform of Pr(x, .).
 
+Uniform subspace states live in K code-space coordinates.  `_range_basis`
+gives an orthonormal basis L of range(P) (L L^dag = P) by a pivoted
+Cholesky; a state is v = L u for a normalized K-dimensional complex
+Gaussian u, and every per-state product goes through L instead of P:
+||P w||^2 = ||L^dag w||^2, and for n <= 4 the exact error sum of
+`pue_nonstab_mc` is a K^2 x K^2 quadratic form in conj(u) (x) u.
+
 Sharded Monte Carlo estimators draw shard s from
 numpy's PCG64 seeded with SeedSequence(seed, spawn_key=(s,)), so results
 are reproducible for a fixed (seed, shard count).  `pue_nonstab_mc` draws
@@ -44,9 +51,6 @@ COMPOSITE_CAP = 4
 # classify_error_dense treats a matrix as zero when every entry is below
 # this; the entries it compares are dyadic, so exact zeros stay far below.
 _CLASSIFY_TOL = 1e-10
-# Gaussian draws _uniform_batch projects for a row before it gives up; only
-# a (near) zero projector keeps missing its range.
-_STATE_ATTEMPTS = 100
 # Jackknife blocks of verify_mean_projector and verify_fourth_moment.
 _MOMENT_BLOCKS = 100
 
@@ -266,38 +270,53 @@ def partial_trace(m: DenseOperator, dims: tuple[int, int], over: str) -> DenseOp
     raise ValueError(f"over must be 'first' or 'second', not {over!r}")
 
 
+def _range_basis(p_op: DenseOperator) -> np.ndarray:
+    """(2^n, K) matrix L with orthonormal columns and L L^dag = P.
+
+    A pivoted Cholesky of P: each step takes the largest remaining diagonal
+    entry (the first on ties) and stops once it is at most 1e-8.  For a
+    projector the columns come out orthonormal, which is checked.  The steps
+    are elementwise arithmetic on P's entries, so the basis is the same on
+    every platform, unlike an eigendecomposition, whose basis of the
+    degenerate eigenvalue-1 eigenspace is up to LAPACK.
+    """
+    res = np.array(p_op, dtype=complex)
+    cols = []
+    while True:
+        diag = res.diagonal().real
+        j = int(np.argmax(diag))
+        if diag[j] <= 1e-8:
+            break
+        col = res[:, j] / math.sqrt(diag[j])
+        res -= np.outer(col, col.conj())
+        cols.append(col)
+    if not cols:
+        raise RuntimeError("projector is zero; its range has no states")
+    basis = np.array(cols).T
+    if np.max(np.abs(basis.conj().T @ basis - np.eye(len(cols)))) > 1e-8:
+        raise ValueError("not a projector: its Cholesky columns are not "
+                         "orthonormal")
+    return basis
+
+
 def uniform_state(p_op: DenseOperator, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample from the unit sphere of the range of a projector."""
-    return _uniform_batch(p_op, 1, rng)[0]
+    return _uniform_batch(_range_basis(p_op), 1, rng)[0]
 
 
-def _uniform_batch(p_op: DenseOperator, count: int,
+def _uniform_batch(basis: np.ndarray, count: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """(count, dim) array of uniform samples from the unit sphere of the
-    range of a projector.
+    """(count, 2^n) array of uniform samples from the unit sphere of the
+    range of L L^dag, for a basis L from `_range_basis`.
 
-    A standard complex Gaussian is projected and normalized; unitary
-    invariance of the Gaussian makes the result exactly uniform on the
-    subspace sphere.  Rows whose projection (nearly) vanishes are redrawn,
-    all of them in one block, up to `_STATE_ATTEMPTS` draws in all.
+    Each row draws a standard complex Gaussian u in the K code-space
+    coordinates (2K normals), normalizes it and maps it to v = L u; unitary
+    invariance of the Gaussian makes v exactly uniform on the subspace
+    sphere.
     """
-    dim = p_op.shape[0]
-
-    def project(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        g = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
-        w = g @ p_op.T
-        return w, np.linalg.norm(w, axis=1)
-
-    w, nrm = project(count)
-    todo = np.flatnonzero(nrm <= 1e-8)
-    for _ in range(_STATE_ATTEMPTS - 1):
-        if not len(todo):
-            break
-        w[todo], nrm[todo] = project(len(todo))
-        todo = todo[nrm[todo] <= 1e-8]
-    if len(todo):
-        raise RuntimeError("projection kept vanishing; is the projector zero?")
-    return w / nrm[:, None]
+    shape = (count, basis.shape[1])
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (g / np.linalg.norm(g, axis=1)[:, None]) @ basis.T
 
 
 @dataclass(frozen=True)
@@ -340,9 +359,10 @@ def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
                           rng: np.random.Generator) -> MomentReport:
     """Check that the mean outer product of uniform subspace states is P/K."""
     target = p_op / dim
+    basis = _range_basis(p_op)
 
     def block(count: int) -> np.ndarray:
-        w = _uniform_batch(p_op, count, rng)
+        w = _uniform_batch(basis, count, rng)
         return w.T @ w.conj()
 
     return _mc_matrix_mean(block, target, samples, 1 - 1 / dim)
@@ -432,26 +452,30 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     if n == 0:
         return MCEstimate(0.0, 0.0, samples, seed, shards, p)
     h = _hadamard(n)
+    basis = _range_basis(p_op)
     exact_errors = n <= 4
     if exact_errors:
+        # In code-space coordinates u = L^dag v: v^dag M v = u^dag (L^dag M L) u,
+        # and sum_E Pr(E) |<v, E v>|^2 = y^T G conj(y) with y = conj(u) (x) u
+        # and G = sum_E Pr(E) vec(M_E) vec(M_E)^dag for M_E = L^dag E L.
         probs = _error_table(n, p)
-        m_op = _twirl(p_op, probs, h)
+        m_code = basis.conj().T @ _twirl(p_op, probs, h) @ basis
+        m_err = _code_space_errors(basis, h)
+        g_op = m_err.T @ (probs.reshape(-1, 1) * m_err.conj())
 
     n_sum = sq_sum = 0.0
     count = 0
     for shard, m in enumerate(_split(samples, shards)):
         rng = _shard_rng(seed, shard)
         for done in range(0, m, chunk):
-            v = _uniform_batch(p_op, min(chunk, m - done), rng)
+            v = _uniform_batch(basis, min(chunk, m - done), rng)
             if exact_errors:
-                # v^dag M v = sum_E Pr(E) ||P E v||^2, and (P v)^dag E v
-                # = Tr(E v (P v)^dag) for every E from one transform.
-                pv = v @ p_op.T
-                t = _pauli_traces(v[:, :, None] * pv.conj()[:, None, :], h)
-                vals = (np.sum((v.conj() @ m_op) * v, axis=1).real
-                        - (np.abs(t) ** 2).reshape(len(v), -1) @ probs.ravel())
+                u = v @ basis.conj()
+                y = (u.conj()[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+                vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
+                        - np.sum((y @ g_op) * y.conj(), axis=1).real)
             else:
-                vals = _sampled_values(p_op, h, v,
+                vals = _sampled_values(basis, h, v,
                                        *_sample_errors(n, p, rng, len(v)))
             n_sum += float(np.sum(vals))
             sq_sum += float(np.sum(vals * vals))
@@ -462,16 +486,30 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     return MCEstimate(mean, math.sqrt(var / count), count, seed, shards, p)
 
 
-def _sampled_values(p_op: DenseOperator, hadamard: np.ndarray, v: np.ndarray,
+def _code_space_errors(basis: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
+    """(4^n, K^2) array whose row (x, z) is vec(L^dag E(x, z) L), up to the
+    error's global phase, for every index-form error at once.
+
+    L^dag E L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]: a
+    gather over x and one Hadamard transform over s.
+    """
+    j = np.arange(len(basis))
+    f = basis.conj()[j[:, None] ^ j][..., None] * basis[:, None, :]
+    m = np.moveaxis(f, 1, 3) @ hadamard
+    return m.transpose(0, 3, 1, 2).reshape(len(j) ** 2, -1)
+
+
+def _sampled_values(basis: np.ndarray, hadamard: np.ndarray, v: np.ndarray,
                     x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """||P E v||^2 - |<v, P E v>|^2 for each row v of a block of states and
-    its index-form error E(x, z); identity errors give exactly 0."""
+    its index-form error E(x, z), as ||L^dag E v||^2 - |<L^dag v, L^dag E v>|^2
+    for the range basis L of P; identity errors give exactly 0."""
     # E|k> = i^|x&z| (-1)^|k&z| |k^x>; the phase cancels in both terms.
     ev = np.take_along_axis(hadamard[z] * v,
                             np.arange(v.shape[1]) ^ x[:, None], axis=1)
-    u = ev @ p_op.T
+    u = ev @ basis.conj()
     vals = (np.sum(np.abs(u) ** 2, axis=1)
-            - np.abs(np.sum(v.conj() * u, axis=1)) ** 2)
+            - np.abs(np.sum((v.conj() @ basis) * u, axis=1)) ** 2)
     return np.where((x | z) == 0, 0.0, vals)
 
 
@@ -487,9 +525,8 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
 
-    vals, vecs = np.linalg.eigh(p_op)
-    basis = vecs[:, vals > 0.5]
-    if basis.shape[1] != dim or np.max(np.abs(vals[vals > 0.5] - 1)) > 1e-8:
+    basis = _range_basis(p_op)
+    if basis.shape[1] != dim:
         raise ValueError("projector rank does not match the declared dimension")
     # b as a (2^n, K) matrix: reference system = columns.
     b = basis / math.sqrt(dim)

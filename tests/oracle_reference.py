@@ -22,8 +22,8 @@ import numpy as np
 from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors
-from qedet.oracle import (_pauli_action, _shard_rng, _split, _uniform_batch,
-                          pauli_matrix)
+from qedet.oracle import (_pauli_action, _range_basis, _shard_rng, _split,
+                          _uniform_batch, pauli_matrix)
 
 
 def error_probability(v: GF4Vector, p: float) -> float:
@@ -124,7 +124,7 @@ def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
         rng = _shard_rng(seed, shard)
         for done in range(0, m, chunk):
             c = min(chunk, m - done)
-            v = _uniform_batch(p_op, c, rng)
+            v = _uniform_batch(_range_basis(p_op), c, rng)
             t = (v @ pe_flat.T).reshape(c, len(errs), -1)
             norms = np.einsum("cea,cea->ce", t, t.conj()).real
             overlap = np.abs(np.einsum("cea,ca->ce", t, v.conj())) ** 2
@@ -157,7 +157,7 @@ def simulate_loop(code, p_op: np.ndarray, p: float, trials: int,
         rng = _shard_rng(seed, shard)
         for done in range(0, m, _CHUNK):
             c = min(_CHUNK, m - done)
-            states = _uniform_batch(p_op, c, rng)
+            states = _uniform_batch(_range_basis(p_op), c, rng)
             errors = sample_errors_loop(code.n, p, rng, c)
             u1 = rng.random(c)
             u2 = rng.random(c) if protocol == "nonstabilizer" else None

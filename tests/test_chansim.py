@@ -16,8 +16,9 @@ from qedet import chansim
 from qedet.chansim import _CHUNK, _born_first, simulate
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import GF4Vector
-from qedet.oracle import (_reverse_bits, _sample_errors, _shard_rng,
-                          _uniform_batch, code_projector, pue_nonstab_mc)
+from qedet.oracle import (_range_basis, _reverse_bits, _sample_errors,
+                          _shard_rng, _uniform_batch, code_projector,
+                          pue_nonstab_mc)
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
 from oracle_reference import (_born_index, measure, sample_errors_loop,
@@ -270,7 +271,7 @@ def test_simulate_rejects_a_split_first_measurement(monkeypatch):
     p_op = np.outer(a, a.conj())
     monkeypatch.setattr(chansim, "code_projector", lambda code, cap: p_op)
     rng = _shard_rng(4, 0)
-    _uniform_batch(p_op, 40, rng)
+    _uniform_batch(_range_basis(p_op), 40, rng)
     x, z = _sample_errors(1, 0.1, rng, 40)
     assert x[0] == z[0] == 0 and (x | z).any()
     with pytest.raises(ValueError, match="not deterministic"):

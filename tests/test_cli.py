@@ -227,12 +227,13 @@ def test_verify_mc_band_does_not_collapse(capsys):
 
 
 def test_verify_mc_band_does_not_collapse_block_draws(capsys):
-    # The same trap under block draws: this seed's estimate lies 6.43 of its
-    # own stderrs below the closed form, and 2.60 times the variance bound.
+    # The same trap under block draws of code-space states: this seed's
+    # estimate lies 4.01 of its own stderrs from the closed form (the only
+    # seed in 0-399 beyond 4), and 2.06 times the variance bound.
     code, out, _ = run(capsys, "verify", "five13", "--samples", "20000",
-                       "--seed", "242")
+                       "--seed", "278")
     assert code == 0
-    assert "uniform_functional_mc,PASS,2.60 x stderr bound" in out
+    assert "uniform_functional_mc,PASS,2.06 x stderr bound" in out
 
 
 def test_verify_zero_qubit_code(tmp_path, capsys):

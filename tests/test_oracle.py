@@ -14,8 +14,9 @@ from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
                        label_to_vector, trace_inner)
 from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, _hadamard,
-                          _reverse_bits, _sample_errors, _sampled_values,
-                          _shard_rng, _uniform_batch, classify_error,
+                          _range_basis, _reverse_bits, _sample_errors,
+                          _sampled_values, _shard_rng, _uniform_batch,
+                          classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
                           pue_composite_exact, pue_nonstab_mc,
@@ -329,6 +330,57 @@ def test_partial_trace_shape_mismatch():
 # --- uniform subspace sampling ------------------------------------------------
 
 
+def _check_range_basis(p_op, dim):
+    basis = _range_basis(p_op)
+    assert basis.shape == (len(p_op), dim)
+    assert np.max(np.abs(basis @ basis.conj().T - p_op)) < 1e-12
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(dim))) < 1e-12
+    assert np.array_equal(_range_basis(p_op), basis)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_range_basis_catalog(name):
+    code = get_code(name)
+    _check_range_basis(code_projector(code), code.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(self_orthogonal_codes(max_n=5))
+def test_range_basis_random(code):
+    _check_range_basis(code_projector(code), code.dim)
+
+
+@pytest.mark.parametrize("rank", range(7))
+def test_range_basis_random_n6(rank):
+    code = _random_code(6, rank, random.Random(rank))
+    _check_range_basis(code_projector(code), code.dim)
+
+
+def test_range_basis_rejects_zero_and_non_projectors():
+    with pytest.raises(RuntimeError):
+        _range_basis(np.zeros((4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="not a projector"):
+        _range_basis(0.5 * np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("code", [get_code("c422"), get_code("five13"),
+                                  _random_n6_code(2)],
+                         ids=["c422", "five13", "random-n6"])
+def test_uniform_batch_fourth_moment(code):
+    # For uniform v on the K-sphere of range(P), E|<a, v>|^4 =
+    # 2 ||P a||^4 / (K (K + 1)).  Each sample lies in [0, ||P a||^4], so its
+    # variance is at most mu (||P a||^4 - mu).
+    p_op = code_projector(code)
+    a = _rng(21).standard_normal((len(p_op), 2)) @ [1, 1j]
+    top = np.linalg.norm(p_op @ a) ** 4
+    mu = 2 * top / (code.dim * (code.dim + 1))
+    samples = 20000
+    v = _uniform_batch(_range_basis(p_op), samples, _rng(22))
+    assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1)) < 1e-12
+    mean = np.mean(np.abs(v.conj() @ a) ** 4)
+    assert abs(mean - mu) <= 4 * np.sqrt(mu * (top - mu) / samples)
+
+
 def test_uniform_state_unit_norm():
     p = code_projector(get_code("c422"))
     rng = _rng(4)
@@ -471,6 +523,22 @@ def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples,
     assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
 
 
+def test_pue_nonstab_mc_exact_branch_generic_projector():
+    # Part I's functional is defined for any projector.  For a stabilizer
+    # code the quadratic form G is real, so only a projector with a complex
+    # Gram matrix tells G from its transpose.
+    rng = _rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 3))
+                        + 1j * rng.standard_normal((16, 3)))
+    p_op = q @ q.conj().T
+    got = pue_nonstab_mc(p_op, 3, 0.2, 1200, seed=9, chunk=100)
+    want, want_stderr = nonstab_mc_exact_loop(p_op, 0.2, 1200, seed=9,
+                                              chunk=100)
+    assert want > 0
+    assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
+    assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
+
+
 @pytest.mark.parametrize("code", [get_code("five13"), _random_n6_code(0)],
                          ids=["five13", "random-n6"])
 def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
@@ -479,11 +547,11 @@ def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
     n, p, c, seed = code.n, 0.3, 200, 11
     p_op = code_projector(code)
     rng = _shard_rng(seed, 0)
-    v = _uniform_batch(p_op, c, rng)
+    v = _uniform_batch(_range_basis(p_op), c, rng)
     x, z = _sample_errors(n, p, rng, c)
     errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))
               for a, b in zip(x, z)]
-    got = _sampled_values(p_op, _hadamard(n), v, x, z)
+    got = _sampled_values(_range_basis(p_op), _hadamard(n), v, x, z)
     want = sampled_values_dense(p_op, v, errors)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.all(got[(x | z) == 0] == 0.0)
