@@ -195,10 +195,15 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
     _check_cap(n, cap)
     h = _hadamard(n)
     j = np.arange(1 << n)
-    x, y = j[:, None, None], j[:, None]
-    # Tr(E P E P) = (-1)^|x&z| sum_y (-1)^|y&z| G_x[y], with
-    # G_x[y] = sum_j P[j^x, j^y] P[j^y^x, j]; and (-1)^|x&z| = H[x, z].
-    g = np.sum(p_op[j ^ x, j ^ y] * p_op[j ^ y ^ x, j], axis=2)
+    shifts = j[:, None] ^ j
+    # Tr(E P E P) = (-1)^|x&z| sum_y (-1)^|y&z| G_x[y], and (-1)^|x&z| =
+    # H[x, z].  With A = P[j^x, :], G_x[y] = sum_j A[j, j^y] A[j^y, j]: one
+    # elementwise product A * A^T and one XOR gather per shift x, so memory
+    # stays at a few 2^n x 2^n arrays.
+    g = np.empty_like(p_op)
+    for x in j:
+        a = p_op[j ^ x]
+        g[x] = np.take_along_axis(a * a.T, shifts, axis=1).sum(axis=0)
     traces_sq = h * _pauli_traces(p_op, h) ** 2
     traces_epep = h * (g @ h)
     wt = np.bitwise_count(j[:, None] | j).ravel()
@@ -339,18 +344,42 @@ def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
     sample_block(count) must return the SUM of `count` fresh sample matrices;
     unit_var / total is the analytic mean-square deviation reported alongside.
     The jackknife needs two blocks, so `total` must be at least 2.
+
+    The delete-a-block jackknife streams in O(d^2) memory, one block at a
+    time, keeping no block sums.  With T samples, block sizes m_b, block
+    sums S_b, a_b = 1/(T - m_b), residuals R_b = S_b - m_b target,
+    R = sum_b R_b and E_b = a_b R_b, the leave-one-out mean of block b is
+    target + a_b (R - R_b), and its distance from the mean of all of them is
+    (a_b - abar) R - (E_b - Ebar).  Hence
+
+        sum_b ||.||^2 = sum_b (a_b - abar)^2 ||R||^2
+                        - 2 Re <R, sum_b (a_b - abar) E_b>
+                        + sum_b ||E_b - Ebar||^2,
+
+    the last term by Welford's update.  The residuals are taken about the
+    target, so blocks that all equal their target (K = 1) give exactly 0.
     """
     if total < 2:
         raise ValueError(f"a moment check needs at least 2 samples, not {total}")
     blocks = min(_MOMENT_BLOCKS, total)
     sizes = _split(total, blocks)
-    sums = [sample_block(m) for m in sizes]
-    full = np.sum(sums, axis=0)
+    a = [1 / (total - m) for m in sizes]
+    a_mean = math.fsum(a) / blocks
+    full = cross = e_mean = e_sq = 0.0
+    for k, (m, a_b) in enumerate(zip(sizes, a), 1):
+        s = sample_block(m)
+        full = full + s
+        e = a_b * (s - m * target)
+        cross = cross + (a_b - a_mean) * e
+        delta = e - e_mean
+        e_mean = e_mean + delta / k
+        e_sq += np.vdot(delta, e - e_mean).real
     deviation = float(np.linalg.norm(full / total - target))
 
-    loo = np.array([(full - s) / (total - m) for s, m in zip(sums, sizes)])
-    center = loo.mean(axis=0)
-    var = (blocks - 1) / blocks * np.sum(np.abs(loo - center) ** 2)
+    r = full - total * target
+    spread = math.fsum((a_b - a_mean) ** 2 for a_b in a)
+    ss = spread * np.vdot(r, r).real - 2 * np.vdot(r, cross).real + e_sq
+    var = (blocks - 1) / blocks * max(ss, 0.0)
     return MomentReport(deviation, float(math.sqrt(var)),
                         math.sqrt(unit_var / total), total)
 

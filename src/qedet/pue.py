@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf4 import AdditiveCode, dual
+from .gf4 import ENUMERATION_CAP, AdditiveCode, dual
 from .enumerators import EnumeratorPair
 from .oracle import _check_p
 
@@ -187,14 +187,32 @@ def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
     """Reference evaluation summing Pr(E) over dual words outside the code.
 
     Enumerates the dual element by element instead of using the weight
-    distributions; used to cross-check the polynomial form.
+    distributions; used to cross-check the polynomial form.  Words are int64
+    keys x | z << n spanned by XOR-doubling over the generators, so n <= 31;
+    a self-orthogonal code whose dual is under the cap has n <= 22.  Each
+    word contributes its weight's Python-float term, so the compensated sum
+    does not depend on the enumeration order.
     """
     _check_p(p)
-    return math.fsum(
-        (p / 3) ** w.weight * (1 - p) ** (code.n - w.weight)
-        for w in dual(code).codewords()
-        if not code.contains(w)
-    )
+    n, ortho = code.n, dual(code)
+    if ortho.size > ENUMERATION_CAP:
+        raise ValueError(f"code has {ortho.size} elements, "
+                         f"beyond the enumeration cap {ENUMERATION_CAP}")
+    if n > 31:
+        raise ValueError(f"words of {n} qubits do not fit int64 keys")
+    words = _span_keys(ortho)
+    words = words[~np.isin(words, _span_keys(code))]
+    weights = np.bitwise_count((words & ((1 << n) - 1)) | (words >> n))
+    terms = [(p / 3) ** w * (1 - p) ** (n - w) for w in range(n + 1)]
+    return math.fsum(map(terms.__getitem__, weights.tolist()))
+
+
+def _span_keys(code: AdditiveCode) -> np.ndarray:
+    """Keys x | z << n of all 2^r words of a code, as int64."""
+    keys = np.zeros(1, dtype=np.int64)
+    for g in code.generators:
+        keys = np.concatenate([keys, keys ^ (g.x | g.z << code.n)])
+    return keys
 
 
 class PueResult(NamedTuple):

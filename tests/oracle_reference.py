@@ -11,6 +11,8 @@ forms it is checked against: one row gather per error
 errors, u1, then u2 for the nonstabilizer protocol) and plays each trial on
 its own, measuring against (P, I - P) and then (vv*, P - vv*) with dense
 projectors, each measurement replaying its pre-drawn uniform.
+`mc_matrix_mean_list` keeps every block sum of a moment check and
+jackknifes the stack of leave-one-out means, where the library streams.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import numpy as np
 from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors
-from qedet.oracle import (_pauli_action, _range_basis, _shard_rng, _split,
-                          _uniform_batch, pauli_matrix)
+from qedet.oracle import (_MOMENT_BLOCKS, MomentReport, _pauli_action,
+                          _range_basis, _shard_rng, _split, _uniform_batch,
+                          pauli_matrix)
 
 
 def error_probability(v: GF4Vector, p: float) -> float:
@@ -74,6 +77,23 @@ def sample_errors_loop(n: int, p: float, rng: np.random.Generator,
                 z |= zb << q
         errors.append(GF4Vector(n, x, z))
     return errors
+
+
+def mc_matrix_mean_list(sample_block, target: np.ndarray, total: int,
+                        unit_var: float) -> MomentReport:
+    """`oracle._mc_matrix_mean` from a list of all block sums: the
+    leave-one-out means stacked and their spread summed directly."""
+    blocks = min(_MOMENT_BLOCKS, total)
+    sizes = _split(total, blocks)
+    sums = [sample_block(m) for m in sizes]
+    full = np.sum(sums, axis=0)
+    deviation = float(np.linalg.norm(full / total - target))
+
+    loo = np.array([(full - s) / (total - m) for s, m in zip(sums, sizes)])
+    center = loo.mean(axis=0)
+    var = (blocks - 1) / blocks * np.sum(np.abs(loo - center) ** 2)
+    return MomentReport(deviation, float(math.sqrt(var)),
+                        math.sqrt(unit_var / total), total)
 
 
 def enumerators_loop(p_op: np.ndarray, dim: int) -> EnumeratorPair:

@@ -5,13 +5,16 @@ or as one integer numerator (exact).  These are the slow forms it is
 checked against: math.fsum over one Python float term per weight, and an
 exact sum of one Fraction term per weight.  The library's binomial moments
 are a Taylor shift; the reference is the double sum of binomial
-coefficients.
+coefficients.  The library's coset sum spans the dual as an array of
+integer keys; the reference walks it one GF4Vector at a time.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from qedet.gf4 import dual
 
 
 def fsum_poly(diffs, n: int, base_x, base_y) -> float:
@@ -53,3 +56,12 @@ def reference_value(pair, p, mode: str, exact: bool = False):
         ratio = Fraction(pair.dim, pair.dim + 1) if exact else pair.dim / (pair.dim + 1)
         return ratio * value
     return value
+
+
+def coset_sum_loop(code, p) -> float:
+    """sum of Pr(E) over dual words outside the code, one GF4Vector each."""
+    return math.fsum(
+        (p / 3) ** w.weight * (1 - p) ** (code.n - w.weight)
+        for w in dual(code).codewords()
+        if not code.contains(w)
+    )

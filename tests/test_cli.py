@@ -244,6 +244,16 @@ def test_verify_zero_qubit_code(tmp_path, capsys):
     assert ",FAIL," not in out
 
 
+def test_verify_code_without_generators(tmp_path, capsys):
+    # P = I on four qubits: K = 16, so the fourth-moment check runs on
+    # 256 x 256 matrices.
+    whole = tmp_path / "whole.code"
+    whole.write_text("n=4 k=4\n")
+    code, out, _ = run(capsys, "verify", str(whole))
+    assert code == 0, out
+    assert ",FAIL," not in out
+
+
 def test_verify_oracle_cap_message(tmp_path, capsys):
     big = tmp_path / "big.code"
     big.write_text("X" * 8 + "\n")

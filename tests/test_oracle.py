@@ -4,11 +4,14 @@ classification, partial traces, subspace sampling, and the MC functionals."""
 from __future__ import annotations
 
 import random
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qedet import oracle
 from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
@@ -24,7 +27,8 @@ from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, _hadamard,
 from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
 
 from oracle_reference import (composite_loop, enumerators_loop,
-                              nonstab_mc_exact_loop, sampled_values_dense)
+                              mc_matrix_mean_list, nonstab_mc_exact_loop,
+                              sampled_values_dense)
 from test_gf4 import _random_code, self_orthogonal_codes
 
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
@@ -253,6 +257,13 @@ def test_bruteforce_equals_error_loop_random(code):
     assert enumerators_bruteforce(p_op, code.dim) == enumerators_loop(p_op, code.dim)
 
 
+@pytest.mark.parametrize("rank", range(7))
+def test_bruteforce_equals_error_loop_random_n6(rank):
+    code = _random_code(6, rank, random.Random(rank))
+    p_op = code_projector(code)
+    assert enumerators_bruteforce(p_op, code.dim) == enumerators_loop(p_op, code.dim)
+
+
 # --- error classification ---------------------------------------------------
 
 
@@ -448,6 +459,58 @@ def test_moment_checks_need_two_samples():
     with pytest.raises(ValueError, match="at least 2 samples"):
         verify_fourth_moment(2, 1, _rng(12))
     assert verify_fourth_moment(2, 2, _rng(12)).sigma > 0
+
+
+@pytest.mark.parametrize("total", (2, 3, 99, 100, 101, 150, 1234, 20000))
+def test_streaming_jackknife_equals_block_list(total, monkeypatch):
+    # c422 and five13 (K = 4, 2), and K = 1, where every block equals its
+    # target; totals not divisible by the block count give unequal blocks.
+    for name in ("c422", "five13", "bell"):
+        code = get_code(name)
+        p_op = code_projector(code)
+        for check in (partial(verify_mean_projector, p_op, code.dim),
+                      partial(verify_fourth_moment, code.dim)):
+            streamed = check(total, _rng(total))
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_mc_matrix_mean", mc_matrix_mean_list)
+                listed = check(total, _rng(total))
+            assert streamed.deviation == listed.deviation
+            assert streamed.expected_rms == listed.expected_rms
+            if code.dim == 1:
+                assert abs(streamed.sigma - listed.sigma) <= 1e-15
+            else:
+                assert streamed.sigma == pytest.approx(listed.sigma, rel=1e-12)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while fn(*args) runs; numpy reports its buffers
+    to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 1 << 20
+
+
+def test_mean_projector_memory_is_bounded():
+    code = _random_code(6, 4, random.Random(4))
+    p_op = code_projector(code)
+    assert _traced_peak(verify_mean_projector, p_op, code.dim, 20000,
+                        _rng(13)) < 2 * MiB
+
+
+def test_fourth_moment_memory_is_bounded():
+    assert _traced_peak(verify_fourth_moment, 16, 2000, _rng(14)) < 16 * MiB
+
+
+def test_bruteforce_memory_is_bounded():
+    code = _random_code(6, 2, random.Random(2))
+    assert _traced_peak(enumerators_bruteforce, code_projector(code),
+                        code.dim) < MiB
 
 
 def test_fourth_moment_target_trace():

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from qedet.catalog import get_code
 from qedet.enumerators import EnumeratorPair, stabilizer_enumerators
-from qedet.gf4 import AdditiveCode
+from qedet.gf4 import AdditiveCode, GF4Vector
 from qedet.pue import (MODES, PueResult, pue_classical, pue_composite,
                        pue_nonstabilizer, pue_stabilizer,
                        pue_stabilizer_direct, pue_via_moments, sweep,
                        sweep_csv)
 
-from pue_reference import (fraction_poly, moment_diffs, reference_value,
-                           stabilizer_diffs)
+from pue_reference import (coset_sum_loop, fraction_poly, moment_diffs,
+                           reference_value, stabilizer_diffs)
 from test_gf4 import _random_code, self_orthogonal_codes
 
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
@@ -120,6 +120,31 @@ def test_direct_coset_sum_matches_polynomial(pairs):
             direct = pue_stabilizer_direct(code, p)
             poly = pue_stabilizer(pair, p)
             assert direct == pytest.approx(poly, rel=1e-12, abs=1e-300)
+
+
+def test_direct_coset_sum_equals_word_loop():
+    for name in CATALOG_NAMES:
+        code = get_code(name)
+        for p in GRID:
+            assert pue_stabilizer_direct(code, p) == coset_sum_loop(code, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(self_orthogonal_codes(max_n=6), st.floats(0, 0.75))
+def test_direct_coset_sum_equals_word_loop_random(code, p):
+    assert pue_stabilizer_direct(code, p) == coset_sum_loop(code, p)
+
+
+def test_direct_coset_sum_enumeration_cap():
+    # No generators: the dual is all 4^12 = 2^24 words, beyond the cap.
+    with pytest.raises(ValueError, match="enumeration cap"):
+        pue_stabilizer_direct(AdditiveCode(12, ()), 0.1)
+    # Not self-orthogonal: X on every qubit and Z on ten leave a dual of
+    # 2^22 words, under the cap, but 64-bit words.
+    gens = [GF4Vector(32, 1 << i, 0) for i in range(32)]
+    gens += [GF4Vector(32, 0, 1 << i) for i in range(10)]
+    with pytest.raises(ValueError, match="int64 keys"):
+        pue_stabilizer_direct(AdditiveCode(32, tuple(gens)), 0.1)
 
 
 def test_classical_repetition_code():
