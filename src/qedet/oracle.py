@@ -23,14 +23,17 @@ Uniform subspace states live in K code-space coordinates.  `_range_basis`
 gives an orthonormal basis L of range(P) (L L^dag = P) by a pivoted
 Cholesky; a state is v = L u for a normalized K-dimensional complex
 Gaussian u, and every per-state product goes through L instead of P:
-||P w||^2 = ||L^dag w||^2, and for n <= 4 the exact error sum of
-`pue_nonstab_mc` is a K^2 x K^2 quadratic form in conj(u) (x) u.
+||P w||^2 = ||L^dag w||^2, and the mean-projector block sum of the states
+is L (sum u u^dag) L^dag.  Whenever the code-space error table is small
+(4^n K^2 <= 2^16) the exact error sum of `pue_nonstab_mc` is a K^2 x K^2
+quadratic form in conj(u) (x) u, and the states never leave the K
+coordinates.
 
 Sharded Monte Carlo estimators draw shard s from
 numpy's PCG64 seeded with SeedSequence(seed, spawn_key=(s,)), so results
 are reproducible for a fixed (seed, shard count).  `pue_nonstab_mc` draws
-in chunks: a block of states, then (for n > 4) a block of errors, so its
-estimates also depend on `chunk`.
+in chunks: a block of states, then (when the error sum is sampled) a block
+of errors, so its estimates also depend on `chunk`.
 """
 
 from __future__ import annotations
@@ -252,9 +255,10 @@ def classify_error_dense(p_op: DenseOperator, e: GF4Vector,
     _check_cap(e.n, cap)
     rows, phases = _pauli_action(e)
     ep = phases[:, None] * p_op[rows]
-    if np.max(np.abs(p_op @ ep)) < _CLASSIFY_TOL:
+    pep = p_op @ ep
+    if np.max(np.abs(pep)) < _CLASSIFY_TOL:
         return DETECTED
-    if np.max(np.abs(ep - p_op @ ep)) >= _CLASSIFY_TOL:
+    if np.max(np.abs(ep - pep)) >= _CLASSIFY_TOL:
         raise ValueError("error neither preserves the subspace nor maps it "
                          "to the complement; not a valid stabilizer setup")
     if min(np.max(np.abs(ep - p_op)), np.max(np.abs(ep + p_op))) < _CLASSIFY_TOL:
@@ -309,19 +313,24 @@ def uniform_state(p_op: DenseOperator, rng: np.random.Generator) -> np.ndarray:
     return _uniform_batch(_range_basis(p_op), 1, rng)[0]
 
 
+def _sphere_batch(count: int, dim: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """(count, dim) array of uniform samples from the unit sphere of C^dim:
+    standard complex Gaussians (2 dim normals each), normalized row by row."""
+    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return g / np.linalg.norm(g, axis=1)[:, None]
+
+
 def _uniform_batch(basis: np.ndarray, count: int,
                    rng: np.random.Generator) -> np.ndarray:
     """(count, 2^n) array of uniform samples from the unit sphere of the
     range of L L^dag, for a basis L from `_range_basis`.
 
-    Each row draws a standard complex Gaussian u in the K code-space
-    coordinates (2K normals), normalizes it and maps it to v = L u; unitary
-    invariance of the Gaussian makes v exactly uniform on the subspace
+    Each row is v = L u for a uniform u on the sphere of the K code-space
+    coordinates; L is an isometry, so v is exactly uniform on the subspace
     sphere.
     """
-    shape = (count, basis.shape[1])
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return (g / np.linalg.norm(g, axis=1)[:, None]) @ basis.T
+    return _sphere_batch(count, basis.shape[1], rng) @ basis.T
 
 
 @dataclass(frozen=True)
@@ -334,6 +343,12 @@ class MomentReport:
     samples: int
 
     def within(self, band: float = 4.0) -> bool:
+        """Deviation within `band` jackknife sigmas.  When the claim leaves
+        no sampling spread (expected_rms == 0, as for K = 1, where every
+        sample equals the target), the test is deterministic instead:
+        deviation <= 1e-10, since sigma is then rounding noise."""
+        if self.expected_rms == 0:
+            return self.deviation <= 1e-10
         return self.deviation <= band * self.sigma
 
 
@@ -386,13 +401,18 @@ def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
 
 def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
                           rng: np.random.Generator) -> MomentReport:
-    """Check that the mean outer product of uniform subspace states is P/K."""
+    """Check that the mean outer product of uniform subspace states is P/K.
+
+    A block of states v = L u sums to L (sum u u^dag) L^dag: a K x K sum and
+    two thin maps.  The jackknife runs on these full-space block sums
+    against P/K, so P stays in the check.
+    """
     target = p_op / dim
     basis = _range_basis(p_op)
 
     def block(count: int) -> np.ndarray:
-        w = _uniform_batch(basis, count, rng)
-        return w.T @ w.conj()
+        u = _sphere_batch(count, basis.shape[1], rng)
+        return basis @ (u.T @ u.conj()) @ basis.conj().T
 
     return _mc_matrix_mean(block, target, samples, 1 - 1 / dim)
 
@@ -411,8 +431,7 @@ def verify_fourth_moment(dim: int, samples: int,
     target = (np.eye(dim * dim) + swap) / (dim * (dim + 1))
 
     def block(count: int) -> np.ndarray:
-        g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        v = g / np.linalg.norm(g, axis=1)[:, None]
+        v = _sphere_batch(count, dim, rng)
         u = np.einsum("ni,nj->nij", v, v).reshape(count, dim * dim)
         return u.T @ u.conj()
 
@@ -465,12 +484,14 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     """Monte Carlo of the subspace-uniform undetected-error functional.
 
     Averages sum_E Pr(E) ||(I - vv*) P E v||^2 over uniform subspace states.
-    The error sum is exact over all 4^n errors for n <= 4 and sampled from
-    the channel otherwise.  The identity error term is identically zero
-    (P v = v on the subspace) and is skipped, so p = 0 gives exactly 0, as
-    does n = 0, where no other error exists.  Each shard draws its states
-    in chunks of `chunk`; for n > 4 a chunk's block of states is followed by
-    a block of one error per state.
+    The error sum is exact over all 4^n errors whenever the code-space error
+    table is small, 4^n K^2 <= 2^16 for K = rank P (every code with n <= 4,
+    and n = 5, 6, 7, 8 with K <= 8, 4, 2, 1), and sampled from the channel
+    otherwise.  The identity error term is identically zero (P v = v on the
+    subspace) and is skipped, so p = 0 gives exactly 0, as does n = 0, where
+    no other error exists.  Each shard draws its states in chunks of
+    `chunk`; when the error sum is sampled, a chunk's block of states is
+    followed by a block of one error per state.
     """
     _check_p(p)
     if samples < 1 or shards < 1:
@@ -482,28 +503,26 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         return MCEstimate(0.0, 0.0, samples, seed, shards, p)
     h = _hadamard(n)
     basis = _range_basis(p_op)
-    exact_errors = n <= 4
+    k = basis.shape[1]
+    exact_errors = 4 ** n * k * k <= 1 << 16
     if exact_errors:
-        # In code-space coordinates u = L^dag v: v^dag M v = u^dag (L^dag M L) u,
+        # In code-space coordinates v = L u: v^dag M v = u^dag (L^dag M L) u,
         # and sum_E Pr(E) |<v, E v>|^2 = y^T G conj(y) with y = conj(u) (x) u
         # and G = sum_E Pr(E) vec(M_E) vec(M_E)^dag for M_E = L^dag E L.
-        probs = _error_table(n, p)
-        m_code = basis.conj().T @ _twirl(p_op, probs, h) @ basis
-        m_err = _code_space_errors(basis, h)
-        g_op = m_err.T @ (probs.reshape(-1, 1) * m_err.conj())
+        m_code, g_op = _code_space_forms(basis, _error_table(n, p), h)
 
     n_sum = sq_sum = 0.0
     count = 0
     for shard, m in enumerate(_split(samples, shards)):
         rng = _shard_rng(seed, shard)
         for done in range(0, m, chunk):
-            v = _uniform_batch(basis, min(chunk, m - done), rng)
             if exact_errors:
-                u = v @ basis.conj()
+                u = _sphere_batch(min(chunk, m - done), k, rng)
                 y = (u.conj()[:, :, None] * u[:, None, :]).reshape(len(u), -1)
                 vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
                         - np.sum((y @ g_op) * y.conj(), axis=1).real)
             else:
+                v = _uniform_batch(basis, min(chunk, m - done), rng)
                 vals = _sampled_values(basis, h, v,
                                        *_sample_errors(n, p, rng, len(v)))
             n_sum += float(np.sum(vals))
@@ -515,17 +534,26 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     return MCEstimate(mean, math.sqrt(var / count), count, seed, shards, p)
 
 
-def _code_space_errors(basis: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
-    """(4^n, K^2) array whose row (x, z) is vec(L^dag E(x, z) L), up to the
-    error's global phase, for every index-form error at once.
+def _code_space_forms(basis: np.ndarray, probs: np.ndarray,
+                      hadamard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L^dag T L, G) for the twirl T = sum_E Pr(E) E^dag P E and
+    G = sum_E Pr(E) vec(M_E) vec(M_E)^dag (K^2 x K^2), where M_E = L^dag E L
+    are the code-space errors under the error table Pr(x, z).
 
-    L^dag E L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]: a
-    gather over x and one Hadamard transform over s.
+    L^dag E(x, z) L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b],
+    and the phase cancels in G.  One shift x at a time, a gather over s and
+    one Hadamard transform give M_E for every z, so memory stays
+    O(2^n K^2 + K^4).  As P = L L^dag, L^dag T L = sum_E Pr(E) M_E^dag M_E,
+    the partial trace of G over its first factor.
     """
     j = np.arange(len(basis))
-    f = basis.conj()[j[:, None] ^ j][..., None] * basis[:, None, :]
-    m = np.moveaxis(f, 1, 3) @ hadamard
-    return m.transpose(0, 3, 1, 2).reshape(len(j) ** 2, -1)
+    k = basis.shape[1]
+    g = np.zeros((k * k, k * k), dtype=complex)
+    for x in j:
+        f = basis.conj()[j ^ x][:, :, None] * basis[:, None, :]
+        m = hadamard @ f.reshape(len(j), k * k)
+        g += m.T @ (probs[x][:, None] * m.conj())
+    return np.einsum("cbca->ab", g.reshape(k, k, k, k)), g
 
 
 def _sampled_values(basis: np.ndarray, hadamard: np.ndarray, v: np.ndarray,

@@ -13,6 +13,9 @@ its own, measuring against (P, I - P) and then (vv*, P - vv*) with dense
 projectors, each measurement replaying its pre-drawn uniform.
 `mc_matrix_mean_list` keeps every block sum of a moment check and
 jackknifes the stack of leave-one-out means, where the library streams.
+`code_space_errors` holds the whole (4^n, K^2) table of code-space errors
+L^dag E L, which the library folds into its quadratic form one shift at a
+time.
 """
 
 from __future__ import annotations
@@ -132,28 +135,43 @@ def composite_loop(p_op: np.ndarray, dim: int, p: float) -> float:
 def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
                           seed: int = 0, shards: int = 1,
                           chunk: int = 256) -> tuple[float, float]:
-    """(estimate, stderr) of the exact-error branch of pue_nonstab_mc:
-    P E v for every non-identity error by one matrix product per chunk."""
+    """(estimate, stderr) of the exact-error branch of pue_nonstab_mc from the
+    same state draws: P E v for every non-identity error, one dense P E
+    product per error over all the states."""
     n = (p_op.shape[0] - 1).bit_length()
-    errs = [v for v in all_vectors(n) if not v.is_zero]
-    pe_flat = np.concatenate([p_op[:, rows] * phases[rows]
-                              for rows, phases in map(_pauli_action, errs)])
-    probs = np.array([error_probability(v, p) for v in errs])
-    n_sum = sq_sum = 0.0
+    basis = _range_basis(p_op)
+    blocks = []
     for shard, m in enumerate(_split(samples, shards)):
         rng = _shard_rng(seed, shard)
         for done in range(0, m, chunk):
-            c = min(chunk, m - done)
-            v = _uniform_batch(_range_basis(p_op), c, rng)
-            t = (v @ pe_flat.T).reshape(c, len(errs), -1)
-            norms = np.einsum("cea,cea->ce", t, t.conj()).real
-            overlap = np.abs(np.einsum("cea,ca->ce", t, v.conj())) ** 2
-            vals = (norms - overlap) @ probs
-            n_sum += float(np.sum(vals))
-            sq_sum += float(np.sum(vals * vals))
-    mean = n_sum / samples
-    var = max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
+            blocks.append(_uniform_batch(basis, min(chunk, m - done), rng))
+    v = np.concatenate(blocks)
+    vals = np.zeros(len(v))
+    for e in all_vectors(n):
+        if e.is_zero:
+            continue
+        rows, phases = _pauli_action(e)
+        t = v @ (p_op[:, rows] * phases[rows]).T
+        vals += error_probability(e, p) * (
+            np.sum(np.abs(t) ** 2, axis=1)
+            - np.abs(np.sum(t * v.conj(), axis=1)) ** 2)
+    mean = math.fsum(vals) / samples
+    var = max(math.fsum(vals * vals) - samples * mean * mean, 0.0) / (samples - 1)
     return mean, math.sqrt(var / samples)
+
+
+def code_space_errors(basis: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
+    """(4^n, K^2) array whose row (x, z) is vec(L^dag E(x, z) L), up to the
+    error's global phase, for every index-form error at once: the whole
+    table `oracle._code_space_forms` builds one shift x at a time.
+
+    L^dag E L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]: a
+    gather over x and one Hadamard transform over s.
+    """
+    j = np.arange(len(basis))
+    f = basis.conj()[j[:, None] ^ j][..., None] * basis[:, None, :]
+    m = np.moveaxis(f, 1, 3) @ hadamard
+    return m.transpose(0, 3, 1, 2).reshape(len(j) ** 2, -1)
 
 
 def sampled_values_dense(p_op: np.ndarray, v: np.ndarray,

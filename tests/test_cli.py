@@ -13,6 +13,8 @@ import pytest
 from qedet.catalog import get_code
 from qedet.cli import main
 from qedet.enumerators import stabilizer_enumerators
+from qedet.gf4 import parse_code
+from qedet.oracle import code_projector, pue_nonstab_mc
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -226,14 +228,24 @@ def test_verify_mc_band_does_not_collapse(capsys):
     assert ",FAIL," not in out
 
 
-def test_verify_mc_band_does_not_collapse_block_draws(capsys):
-    # The same trap under block draws of code-space states: this seed's
-    # estimate lies 4.01 of its own stderrs from the closed form (the only
-    # seed in 0-399 beyond 4), and 2.06 times the variance bound.
-    code, out, _ = run(capsys, "verify", "five13", "--samples", "20000",
-                       "--seed", "278")
+def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys):
+    # The same trap under block draws of states and errors.  The error sum
+    # is sampled only where the code-space error table is large
+    # (4^n K^2 > 2^16), so this is a [[7,2,2]] code (K = 4) whose
+    # undetected errors are rare: one weight-2 logical operator.  This
+    # seed's estimate lies 5.53 of its own stderrs from the closed form,
+    # and 2.53 times the variance bound.
+    c72 = tmp_path / "c72.code"
+    c72.write_text("n=7 k=2\nZIZXYZX\nZXIZIZZ\nIIIXYXZ\nXIYZYIY\nIYYIXYZ\n")
+    code, out, _ = run(capsys, "verify", str(c72), "--max-n", "7",
+                       "--samples", "10000", "--seed", "104")
     assert code == 0
-    assert "uniform_functional_mc,PASS,2.06 x stderr bound" in out
+    assert "uniform_functional_mc,PASS,2.53 x stderr bound" in out
+    c = parse_code(c72.read_text())
+    est = pue_nonstab_mc(code_projector(c, cap=7), c.dim, 0.1, 10000,
+                         seed=104, cap=7)
+    target = pue_nonstabilizer(stabilizer_enumerators(c), 0.1)
+    assert abs(est.estimate - target) > 5 * est.stderr
 
 
 def test_verify_zero_qubit_code(tmp_path, capsys):

@@ -16,9 +16,10 @@ from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
                        label_to_vector, trace_inner)
-from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, _hadamard,
+from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, MomentReport,
+                          _code_space_forms, _error_table, _hadamard,
                           _range_basis, _reverse_bits, _sample_errors,
-                          _sampled_values, _shard_rng, _uniform_batch,
+                          _sampled_values, _shard_rng, _twirl, _uniform_batch,
                           classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
@@ -26,9 +27,9 @@ from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, _hadamard,
                           uniform_state, verify_mean_projector, verify_fourth_moment)
 from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
 
-from oracle_reference import (composite_loop, enumerators_loop,
-                              mc_matrix_mean_list, nonstab_mc_exact_loop,
-                              sampled_values_dense)
+from oracle_reference import (code_space_errors, composite_loop,
+                              enumerators_loop, mc_matrix_mean_list,
+                              nonstab_mc_exact_loop, sampled_values_dense)
 from test_gf4 import _random_code, self_orthogonal_codes
 
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
@@ -72,6 +73,16 @@ def _random_n6_code(seed: int) -> AdditiveCode:
     """A seeded random self-orthogonal [[6, 6 - r]] code with r in 2..5."""
     rng = random.Random(seed)
     return _random_code(6, rng.randint(2, 5), rng)
+
+
+# Codes whose code-space error table is too large (4^n K^2 > 2^16), so that
+# pue_nonstab_mc samples the error sum: n = 5 with K = 16 (rank 1) and
+# n = 6 with K >= 8 (random_n6_code seeds 1-4 have rank 3, 2, 3, 3).
+SAMPLED_CODES = {
+    "n5-r1-0": _random_code(5, 1, random.Random(0)),
+    "n5-r1-1": _random_code(5, 1, random.Random(1)),
+    **{f"random-n6-{s}": _random_n6_code(s) for s in range(1, 5)},
+}
 
 
 def _variance_band(target: float, samples: int) -> float:
@@ -439,6 +450,34 @@ def test_mean_projector_rank_one_is_deterministic():
     p = code_projector(get_code("bell"))
     report = verify_mean_projector(p, 1, 500, _rng(9))
     assert report.deviation < 1e-12
+    assert report.expected_rms == 0 and report.within(4.0)
+
+
+def test_within_is_deterministic_without_sampling_spread():
+    # expected_rms == 0 (K = 1): sigma is rounding noise, which can fall
+    # below a rounding-level deviation, so the band gives way to 1e-10.
+    assert MomentReport(1.1e-16, 4.4e-18, 0.0, 500).within(4.0)
+    assert not MomentReport(2e-10, 1.0, 0.0, 500).within(4.0)
+    assert not MomentReport(1.1e-16, 4.4e-18, 0.01, 500).within(4.0)
+
+
+@pytest.mark.parametrize("code", [get_code("bell"), get_code("c422"),
+                                  get_code("five13"), _random_code(6, 4, random.Random(4))],
+                         ids=["bell", "c422", "five13", "random-n6-r4"])
+def test_mean_projector_block_equals_dense_outer_products(code, monkeypatch):
+    # The library forms a block sum as L (sum u u^dag) L^dag; the reference
+    # takes the same states in full space, v = L u, and sums v v^dag.
+    p_op = code_projector(code)
+    blocks = []
+
+    def first_block(sample_block, target, total, unit_var):
+        blocks.append(sample_block(total))
+        return None
+
+    monkeypatch.setattr(oracle, "_mc_matrix_mean", first_block)
+    verify_mean_projector(p_op, code.dim, 200, _rng(15))
+    w = _uniform_batch(_range_basis(p_op), 200, _rng(15))
+    assert np.max(np.abs(blocks[0] - w.T @ w.conj())) < 1e-12
 
 
 def test_fourth_moment_within_band():
@@ -477,7 +516,13 @@ def test_streaming_jackknife_equals_block_list(total, monkeypatch):
             assert streamed.deviation == listed.deviation
             assert streamed.expected_rms == listed.expected_rms
             if code.dim == 1:
-                assert abs(streamed.sigma - listed.sigma) <= 1e-15
+                # Both sigmas are rounding noise here.  Each of the list's B
+                # leave-one-out means carries a rounding error of about
+                # eps ||target||_F, so its sigma sits at up to about
+                # sqrt(B) eps ||target||_F (1.1e-15 at total 20000).
+                floor = (np.sqrt(min(oracle._MOMENT_BLOCKS, total))
+                         * np.finfo(float).eps)
+                assert abs(streamed.sigma - listed.sigma) <= floor
             else:
                 assert streamed.sigma == pytest.approx(listed.sigma, rel=1e-12)
 
@@ -505,6 +550,14 @@ def test_mean_projector_memory_is_bounded():
 
 def test_fourth_moment_memory_is_bounded():
     assert _traced_peak(verify_fourth_moment, 16, 2000, _rng(14)) < 16 * MiB
+
+
+def test_nonstab_mc_memory_is_bounded():
+    # g62's shape (n = 6, K = 4) takes the exact error sum; G is built one
+    # shift at a time, with no 4^n x K^2 table.
+    code = _random_code(6, 4, random.Random(4))
+    assert _traced_peak(pue_nonstab_mc, code_projector(code), code.dim, 0.1,
+                        20000) < MiB // 2
 
 
 def test_bruteforce_memory_is_bounded():
@@ -550,10 +603,10 @@ def test_pue_nonstab_mc_within_band():
 
 
 def test_pue_nonstab_mc_sampled_error_path():
-    code = get_code("five13")
+    code = SAMPLED_CODES["n5-r1-0"]
     p = code_projector(code)
     pair = stabilizer_enumerators(code)
-    est = pue_nonstab_mc(p, 2, 0.2, 20000, seed=3)
+    est = pue_nonstab_mc(p, code.dim, 0.2, 20000, seed=3)
     target = pue_nonstabilizer(pair, 0.2)
     assert abs(est.estimate - target) <= 4 * est.stderr
     assert est.stderr > 0
@@ -566,16 +619,27 @@ def test_pue_nonstab_mc_reproducible_across_shards():
     assert a == b
 
 
+# Random codes inside the exact-branch rule 4^n K^2 <= 2^16; the n = 5,
+# K = 8 and n = 6, K = 4 codes sit on its boundary.
+EXACT_CODES = {
+    "random-n4": _random_code(4, 2, random.Random(4)),
+    "random-n5-r2": _random_code(5, 2, random.Random(5)),
+    "random-n6-r4": _random_code(6, 4, random.Random(4)),
+}
+
+
 @pytest.mark.parametrize("name,p,samples,shards,chunk", [
     ("trivial-n1", 0.3, 2000, 1, 256),
     ("c422", 0.1, 3001, 3, 256),
     ("c422", 0.75, 1000, 2, 97),
     ("random-n4", 0.2, 1500, 1, 64),
+    ("five13", 0.1, 600, 2, 128),
+    ("random-n5-r2", 0.2, 600, 2, 128),
+    ("random-n6-r4", 0.1, 300, 2, 100),
 ])
 def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples,
                                                        shards, chunk):
-    code = (_random_code(4, 2, random.Random(4)) if name == "random-n4"
-            else get_code(name))
+    code = EXACT_CODES[name] if name in EXACT_CODES else get_code(name)
     p_op = code_projector(code)
     got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7, shards=shards,
                          chunk=chunk)
@@ -583,7 +647,65 @@ def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples,
                                               shards=shards, chunk=chunk)
     assert want > 0
     assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
-    assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
+    if name == "five13":
+        # K = 2 with the three logical classes equally weighted: every state
+        # gives the same value, so both stderrs are rounding noise.
+        assert max(got.stderr, want_stderr) < 1e-11
+    else:
+        assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("n,rank,exact", [
+    (5, 2, True), (6, 4, True), (5, 1, False), (6, 3, False),
+])
+def test_pue_nonstab_mc_branch_rule_boundary(n, rank, exact):
+    # 4^n K^2 is 2^16 for n = 5, K = 8 and n = 6, K = 4 (exact), and 2^18
+    # for n = 5, K = 16 and n = 6, K = 8 (sampled).  Each side is shown
+    # against its own reference on the same draws.
+    code = _random_code(n, rank, random.Random(n + rank))
+    assert (4 ** n * code.dim ** 2 <= 1 << 16) == exact
+    p_op, p, c, seed = code_projector(code), 0.2, 200, 13
+    got = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed, chunk=c)
+    if exact:
+        want = nonstab_mc_exact_loop(p_op, p, c, seed=seed, chunk=c)[0]
+    else:
+        rng = _shard_rng(seed, 0)
+        v = _uniform_batch(_range_basis(p_op), c, rng)
+        x, z = _sample_errors(n, p, rng, c)
+        errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))
+                  for a, b in zip(x, z)]
+        want = np.mean(sampled_values_dense(p_op, v, errors))
+    assert want > 0
+    assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422"])
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.75])
+def test_code_space_twirl_is_partial_trace_of_gram(name, p):
+    # L^dag (sum_E Pr(E) E^dag P E) L = sum_E Pr(E) M_E^dag M_E = Tr_1 G,
+    # since P = L L^dag; pins the exact branch's twirl term to _twirl.
+    p_op = code_projector(get_code(name))
+    n = (len(p_op) - 1).bit_length()
+    basis = _range_basis(p_op)
+    probs, h = _error_table(n, p), _hadamard(n)
+    got = _code_space_forms(basis, probs, h)[0]
+    want = basis.conj().T @ _twirl(p_op, probs, h) @ basis
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("code", [get_code("c422"), get_code("five13"),
+                                  EXACT_CODES["random-n5-r2"],
+                                  EXACT_CODES["random-n6-r4"]],
+                         ids=["c422", "five13", "random-n5-r2", "random-n6-r4"])
+def test_code_space_gram_equals_error_table(code):
+    # The shift-at-a-time G against the whole (4^n, K^2) table of M_E.
+    p_op = code_projector(code)
+    basis, h = _range_basis(p_op), _hadamard(code.n)
+    probs = _error_table(code.n, 0.2)
+    m_err = code_space_errors(basis, h)
+    want = m_err.T @ (probs.reshape(-1, 1) * m_err.conj())
+    got = _code_space_forms(basis, probs, h)[1]
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_pue_nonstab_mc_exact_branch_generic_projector():
@@ -602,8 +724,9 @@ def test_pue_nonstab_mc_exact_branch_generic_projector():
     assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
 
 
-@pytest.mark.parametrize("code", [get_code("five13"), _random_n6_code(0)],
-                         ids=["five13", "random-n6"])
+@pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-0"],
+                                  SAMPLED_CODES["random-n6-1"]],
+                         ids=["n5-r1", "random-n6"])
 def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
     # The sampled branch draws a block of states, then a block of errors;
     # one chunk's values must equal the dense-matrix formula on those draws.
@@ -623,10 +746,9 @@ def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
     assert est.estimate == pytest.approx(np.mean(want), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("code", [get_code("five13")]
-                         + [_random_n6_code(s) for s in range(5)],
-                         ids=["five13"] + [f"random-n6-{s}" for s in range(5)])
-def test_pue_nonstab_mc_sampled_branch_variance_band(code):
+@pytest.mark.parametrize("name", SAMPLED_CODES)
+def test_pue_nonstab_mc_sampled_branch_variance_band(name):
+    code = SAMPLED_CODES[name]
     p_op = code_projector(code)
     target = pue_nonstabilizer(stabilizer_enumerators(code), 0.1)
     band = _variance_band(target, 20000)
@@ -636,8 +758,9 @@ def test_pue_nonstab_mc_sampled_branch_variance_band(code):
         assert abs(est.estimate - target) <= band, (seed, est.estimate, target)
 
 
-@pytest.mark.parametrize("code", [get_code("five13"), _random_n6_code(1)],
-                         ids=["five13", "random-n6"])
+@pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-1"],
+                                  SAMPLED_CODES["random-n6-1"]],
+                         ids=["n5-r1", "random-n6"])
 def test_pue_nonstab_mc_zero_noise_sampled_branch(code):
     est = pue_nonstab_mc(code_projector(code), code.dim, 0.0, 1000, seed=0)
     assert est.estimate == 0.0 and est.stderr == 0.0
