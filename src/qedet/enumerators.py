@@ -16,7 +16,16 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .gf4 import ENUMERATION_CAP, AdditiveCode
+
+# Words are rows of uint64 keys, one key per _LANE positions holding the
+# x-plane bits in its low half and the z-plane bits in its high half.
+_LANE = 32
+_LANE_MASK = (1 << _LANE) - 1
+# A block of at most 2^16 keys (words x lanes) is spanned at a time.
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -31,12 +40,44 @@ class WeightDistribution:
         return sum(self.counts)
 
 
+def _span(keys: np.ndarray) -> np.ndarray:
+    """All 2^r XOR combinations of r generator keys (rows), the zero key first.
+
+    Built by doubling: the combinations of the first j generators, then
+    the same again XORed with generator j.
+    """
+    out = np.zeros((1,) + keys.shape[1:], keys.dtype)
+    for g in keys:
+        out = np.concatenate([out, out ^ g])
+    return out
+
+
 def hamming_weights(code: AdditiveCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
-    """Weight distribution of a code by direct enumeration."""
-    counts = [0] * (code.n + 1)
-    for word in code.codewords(cap):
-        counts[word.weight] += 1
-    return WeightDistribution(code.n, tuple(counts))
+    """Weight distribution of a code by direct enumeration.
+
+    Each word is a row of lane keys x | z << 32 over 32 positions at a
+    time, so a word's weight is the sum over its lanes of
+    popcount((key & mask) | (key >> 32)), for any n.  The first few
+    generators are spanned once, into a block of at most 2^16 keys; the
+    code is that block XORed with each combination of the remaining
+    generators, counted one block at a time.
+    """
+    if code.size > cap:
+        raise ValueError(f"code has {code.size} elements, "
+                         f"beyond the enumeration cap {cap}")
+    lanes = range(0, code.n, _LANE)
+    gens = np.array([[(g.x >> s & _LANE_MASK) | (g.z >> s & _LANE_MASK) << _LANE
+                      for s in lanes] for g in code.generators],
+                    dtype=np.uint64).reshape(code.rank, len(lanes))
+    low_rank = max(_BLOCK_BITS - (len(lanes) - 1).bit_length(), 0)
+    low = _span(gens[:low_rank])
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for shift in _span(gens[low_rank:]):
+        block = low ^ shift
+        weights = np.bitwise_count((block & _LANE_MASK) | (block >> _LANE))
+        counts += np.bincount(weights.sum(axis=1, dtype=np.intp),
+                              minlength=code.n + 1)
+    return WeightDistribution(code.n, tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -45,7 +86,8 @@ class EnumeratorPair:
 
     `weights` counts the code itself (the B enumerator of the stabilized
     subspace), `dual_weights` the dual code; `dim` is the dimension K of the
-    stabilized subspace.  Binomial moments are computed lazily.
+    stabilized subspace.  Binomial moments and the coefficient differences
+    are computed lazily, once per pair.
     """
 
     n: int
@@ -66,6 +108,16 @@ class EnumeratorPair:
     @cached_property
     def dual_moments(self) -> tuple[int, ...]:
         return binomial_moments(self.dual_weights, self.n)
+
+    @cached_property
+    def weight_diffs(self) -> tuple[int, ...]:
+        """dual_weights - weights: the P_ue polynomial's coefficients."""
+        return tuple(bp - b for b, bp in zip(self.weights, self.dual_weights))
+
+    @cached_property
+    def moment_diffs(self) -> tuple[int, ...]:
+        """dual_moments - moments: the moment form's coefficients."""
+        return tuple(mp - m for m, mp in zip(self.moments, self.dual_moments))
 
     def to_json_dict(self) -> dict:
         """JSON form with integers as decimal strings (they can be huge)."""

@@ -66,7 +66,9 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 def _check_p(p) -> None:
-    if not 0 <= p <= 0.75:
+    # Integer bounds keep the test exact for Fractions without converting a
+    # float bound on every call; NaN fails both comparisons.
+    if not (0 <= p and 4 * p <= 3):
         raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
 
 

@@ -11,31 +11,37 @@ this, and the completely-entangled-state functional equals it outright, so
 all three protocol modes share one polynomial.  The binomial-moment form is
 a second polynomial with the same value.
 
-Floats come from one numpy evaluator that sums a whole grid of p at once;
-every term is nonnegative, so the plain sum stays within a few ulps of a
-compensated one.  Terms that leave the normal float range (coefficients
-beyond 2^1000 and powers that underflow, as for codes with hundreds of
-qubits) are carried as a mantissa and an exact power of two.  Exact
+Floats come from one numpy evaluator that sums a grid of p in chunks of
+about 2^13 terms; every term is nonnegative, so the plain sum stays within
+a few ulps of a compensated one.  Each grid row is checked on its own:
+rows whose terms stay in the normal float range are plain products, and
+rows whose terms leave it (coefficients beyond 2^1000 and powers that
+underflow, as for tiny p or codes with hundreds of qubits) carry each
+term as a mantissa and an exact power of two.  A row's value is therefore
+the same in any grid, and equals the single-point evaluation.  Exact
 rationals (exact=True) come from one integer numerator: with p = a/b every
-term shares the denominator (3b)^n.
+term shares the denominator (3b)^n.  The coefficient differences are
+computed once per EnumeratorPair.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import cycle, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .gf4 import ENUMERATION_CAP, AdditiveCode, dual
-from .enumerators import EnumeratorPair
+from .enumerators import EnumeratorPair, _span
 from .oracle import _check_p
 
 MODES = ("stabilizer", "nonstabilizer", "composite", "moments")
 
-# Grid rows evaluated together; bounds the term matrices to rows x (n + 1).
-_ROW_CHUNK = 32
+# Terms per evaluated chunk of grid rows: 2^13 float64 cells keep every
+# temporary at 64 KiB, under glibc's 128 KiB mmap threshold.
+_CHUNK_CELLS = 1 << 13
 # Powers of a mantissa in [1/2, 1) stay normal up to this exponent, and
 # coefficients below 2^_MAX_BITS times factors in (0, 1] cannot overflow.
 _MAX_POW = 1000
@@ -70,10 +76,11 @@ def _scaled_pow(base: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _grid_eval(diffs, n: int, base_x: np.ndarray, base_y: np.ndarray) -> np.ndarray:
     """sum_i diffs[i] base_y^i base_x^(n-i) for each entry of the base arrays.
 
-    The bases must lie in [0, 1].  A chunk of rows whose terms all stay in
-    the normal float range is summed as plain products; any other chunk
-    goes through _scaled_pow, which agrees with the plain products wherever
-    they stay normal.
+    The bases must lie in [0, 1].  Each row whose terms all stay in the
+    normal float range is summed as plain products; every other row goes
+    through _scaled_pow, which agrees with the plain products wherever they
+    stay normal.  The choice is made per row, so a row's value does not
+    depend on the other rows of the grid.
     """
     out = np.zeros(len(base_x))
     cols = [i for i, d in enumerate(diffs) if d]
@@ -83,19 +90,23 @@ def _grid_eval(diffs, n: int, base_x: np.ndarray, base_y: np.ndarray) -> np.ndar
     split = [_split(diffs[c]) for c in cols]
     mant_d = np.array([m for m, _ in split])
     shift_d = np.array([s for _, s in split])
-    for lo in range(0, len(out), _ROW_CHUNK):
-        x = base_x[lo:lo + _ROW_CHUNK, None]
-        y = base_y[lo:lo + _ROW_CHUNK, None]
-        # Every nonzero base is >= 2^(e-1), so every power down to base^n,
-        # and every product of two, stays normal while n (1 - e) <= 1021.
-        min_exp = min(np.frexp(x)[1].min(), np.frexp(y)[1].min())
-        if not shift_d.any() and n * (1 - min_exp) <= 1021:
-            terms = mant_d * y**i * x ** (n - i)
-        else:
-            my, ey = _scaled_pow(y, i)
-            mx, ex = _scaled_pow(x, n - i)
-            terms = np.ldexp(mant_d * my * mx, shift_d + ey + ex)
-        out[lo:lo + _ROW_CHUNK] = terms.sum(axis=1)
+    # Every nonzero base is >= 2^(e-1), so every power down to base^n, and
+    # every product of two, stays normal while n (1 - e) <= 1021.
+    min_exp = np.minimum(np.frexp(base_x)[1], np.frexp(base_y)[1])
+    plain = (n * (1 - min_exp) <= 1021) & (not shift_d.any())
+    step = max(_CHUNK_CELLS // len(cols), 1)
+    for rows, scaled in ((np.flatnonzero(plain), False),
+                         (np.flatnonzero(~plain), True)):
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            x, y = base_x[r, None], base_y[r, None]
+            if scaled:
+                my, ey = _scaled_pow(y, i)
+                mx, ex = _scaled_pow(x, n - i)
+                terms = np.ldexp(mant_d * my * mx, shift_d + ey + ex)
+            else:
+                terms = mant_d * y**i * x ** (n - i)
+            out[r] = terms.sum(axis=1)
     return out
 
 
@@ -112,20 +123,12 @@ def _exact_eval(diffs, n: int, x: int, y: int, denom: int) -> Fraction:
     return Fraction(numerator, denom**n)
 
 
-def _stabilizer_diffs(pair: EnumeratorPair) -> list[int]:
-    return [bp - b for b, bp in zip(pair.weights, pair.dual_weights)]
-
-
-def _moment_diffs(pair: EnumeratorPair) -> list[int]:
-    return [mp - m for m, mp in zip(pair.moments, pair.dual_moments)]
-
-
 def _stabilizer_column(pair: EnumeratorPair, p: np.ndarray) -> np.ndarray:
-    return _grid_eval(_stabilizer_diffs(pair), pair.n, 1 - p, p / 3)
+    return _grid_eval(pair.weight_diffs, pair.n, 1 - p, p / 3)
 
 
 def _moments_column(pair: EnumeratorPair, p: np.ndarray) -> np.ndarray:
-    return _grid_eval(_moment_diffs(pair), pair.n, 1 - 4 * p / 3, p / 3)
+    return _grid_eval(pair.moment_diffs, pair.n, 1 - 4 * p / 3, p / 3)
 
 
 def pue_stabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
@@ -133,7 +136,7 @@ def pue_stabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
     _check_p(p)
     if exact:
         a, b = Fraction(p).as_integer_ratio()
-        return _exact_eval(_stabilizer_diffs(pair), pair.n, 3 * (b - a), a, 3 * b)
+        return _exact_eval(pair.weight_diffs, pair.n, 3 * (b - a), a, 3 * b)
     return float(_stabilizer_column(pair, np.array([float(p)]))[0])
 
 
@@ -162,7 +165,7 @@ def pue_via_moments(pair: EnumeratorPair, p, *, exact: bool = False):
     _check_p(p)
     if exact:
         a, b = Fraction(p).as_integer_ratio()
-        return _exact_eval(_moment_diffs(pair), pair.n, 3 * b - 4 * a, a, 3 * b)
+        return _exact_eval(pair.moment_diffs, pair.n, 3 * b - 4 * a, a, 3 * b)
     return float(_moments_column(pair, np.array([float(p)]))[0])
 
 
@@ -173,7 +176,7 @@ def pue_classical(counts, q: int, p, *, exact: bool = False):
     alphabet used on the symmetric channel with symbol error probability p.
     """
     n = len(counts) - 1
-    if not 0 <= p <= (q - 1) / q:
+    if not (0 <= p and q * p <= q - 1):
         raise ValueError(f"symbol error probability {p} outside [0, (q-1)/q]")
     diffs = [0] + [int(c) for c in counts[1:]]
     if exact:
@@ -209,10 +212,8 @@ def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
 
 def _span_keys(code: AdditiveCode) -> np.ndarray:
     """Keys x | z << n of all 2^r words of a code, as int64."""
-    keys = np.zeros(1, dtype=np.int64)
-    for g in code.generators:
-        keys = np.concatenate([keys, keys ^ (g.x | g.z << code.n)])
-    return keys
+    return _span(np.array([g.x | g.z << code.n for g in code.generators],
+                          dtype=np.int64))
 
 
 class PueResult(NamedTuple):
@@ -227,8 +228,10 @@ def sweep(pair: EnumeratorPair, p_grid, modes, code: str = "") -> list[PueResult
 
     The stabilizer polynomial is evaluated once over the whole grid and
     serves the stabilizer, nonstabilizer and composite modes; the moment
-    form is evaluated once more when requested.
+    form is evaluated once more when requested.  Rows are built from the
+    columns by tuple.__new__, with no Python-level constructor call per row.
     """
+    p_grid, modes = list(p_grid), list(modes)
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -238,12 +241,15 @@ def sweep(pair: EnumeratorPair, p_grid, modes, code: str = "") -> list[PueResult
     columns = {}
     if set(modes) - {"moments"}:
         stab = _stabilizer_column(pair, grid)
-        columns["stabilizer"] = columns["composite"] = stab.tolist()
-        columns["nonstabilizer"] = (pair.dim / (pair.dim + 1) * stab).tolist()
+        columns["stabilizer"] = columns["composite"] = stab
+        columns["nonstabilizer"] = pair.dim / (pair.dim + 1) * stab
     if "moments" in modes:
-        columns["moments"] = _moments_column(pair, grid).tolist()
-    return [PueResult(code, mode, float(p), columns[mode][j])
-            for j, p in enumerate(p_grid) for mode in modes]
+        columns["moments"] = _moments_column(pair, grid)
+    # One column per requested mode; read row by row, (p, mode) order.
+    values = np.array([columns[mode] for mode in modes]).T.ravel().tolist()
+    ps = np.repeat(grid, len(modes)).tolist()
+    return list(map(tuple.__new__, repeat(PueResult),
+                    zip(repeat(code), cycle(modes), ps, values)))
 
 
 def sweep_csv(rows) -> str:

@@ -7,20 +7,25 @@ recompute them from that oracle so the two paths cannot drift apart.
 
 from __future__ import annotations
 
+import math
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qedet import enumerators
 from qedet.catalog import get_code
 from qedet.enumerators import (EnumeratorPair, binomial_moments,
                                check_enum_properties, hamming_weights,
                                macwilliams, min_distance,
                                stabilizer_enumerators)
-from qedet.gf4 import AdditiveCode, dual, parse_code
+from qedet.gf4 import AdditiveCode, GF4Vector, dual, parse_code
 
 from pue_reference import binomial_moments_reference
-from test_gf4 import oracle_dual, oracle_span, self_orthogonal_codes
+from test_gf4 import (_random_code, oracle_dual, oracle_span,
+                      self_orthogonal_codes)
 
 FIVE13_GENS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
@@ -229,3 +234,79 @@ def test_enumerators_of_random_codes_round_trip():
         assert macwilliams(pair.weights, n, pair.dim, "code_to_dual") == pair.dual_weights
         d = dual(code)
         assert hamming_weights(d).counts == pair.dual_weights
+
+
+# --- integer-key enumeration against the Gray-code walk ----------------------
+
+def _gray_code_weights(code: AdditiveCode) -> tuple[int, ...]:
+    """Weight counts from AdditiveCode.codewords(), one GF4Vector per word."""
+    counts = Counter(w.weight for w in code.codewords())
+    return tuple(counts.get(i, 0) for i in range(code.n + 1))
+
+
+def _random_words_code(n: int, rank: int, rng) -> AdditiveCode:
+    """Span of random words, not necessarily self-orthogonal."""
+    words = (GF4Vector(n, rng.getrandbits(n), rng.getrandbits(n))
+             for _ in range(4 * rank))
+    gens = AdditiveCode.from_generators(n, words).generators
+    return AdditiveCode(n, gens[:rank])
+
+
+@st.composite
+def wide_self_orthogonal_codes(draw):
+    n = draw(st.integers(1, 130))
+    rank = draw(st.integers(0, min(n, 8)))
+    return _random_code(n, rank, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(self_orthogonal_codes(), wide_self_orthogonal_codes()))
+def test_hamming_weights_match_gray_code_walk(code):
+    assert hamming_weights(code).counts == _gray_code_weights(code)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 96, 130])
+def test_hamming_weights_lane_edges(n):
+    assert hamming_weights(AdditiveCode(n, ())).counts == (1,) + (0,) * n
+    rng = random.Random(n)
+    for code in (_random_code(n, min(n, 6), rng),
+                 _random_words_code(n, min(2 * n, 9), rng)):
+        assert hamming_weights(code).counts == _gray_code_weights(code)
+
+
+@pytest.mark.parametrize("block_bits", [0, 1, 3])
+def test_hamming_weights_in_small_blocks(monkeypatch, block_bits):
+    # Blocks smaller than the code: the low span XORed with every
+    # combination of the remaining generators, block by block.
+    monkeypatch.setattr(enumerators, "_BLOCK_BITS", block_bits)
+    rng = random.Random(block_bits)
+    for n, rank in ((5, 5), (33, 7), (70, 9)):
+        code = _random_words_code(n, rank, rng)
+        assert hamming_weights(code).counts == _gray_code_weights(code)
+
+
+def test_hamming_weights_enumeration_cap_message():
+    code = parse_code("XXXX\nZZZZ")
+    with pytest.raises(ValueError) as gray:
+        list(code.codewords(cap=2))
+    with pytest.raises(ValueError) as keys:
+        hamming_weights(code, cap=2)
+    assert str(keys.value) == str(gray.value) == \
+        "code has 4 elements, beyond the enumeration cap 2"
+
+
+def test_hamming_weights_memory_is_bounded():
+    # 2^20 words over three lanes: generator i is X on qubit i and Z on
+    # qubit i + 40, so a combination of w generators has weight 2w.
+    n, r = 70, 20
+    code = AdditiveCode(n, tuple(GF4Vector(n, 1 << i, 1 << (i + 40))
+                                 for i in range(r)))
+    tracemalloc.start()
+    try:
+        counts = hamming_weights(code).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == tuple(math.comb(r, i // 2) if i % 2 == 0 and i <= 2 * r
+                           else 0 for i in range(n + 1))
+    assert peak < 16 << 20, peak

@@ -169,6 +169,12 @@ def test_classical_gf4_view_of_c422(pairs):
 def test_classical_range_check():
     with pytest.raises(ValueError):
         pue_classical((1, 0, 0, 1), 2, 0.6)  # above (q-1)/q = 1/2
+    # The bound is compared exactly: 2/3 is in range for q = 3 although the
+    # float 2/3 lies below it, and anything above it is not.
+    assert pue_classical((1, 0, 1), 3, Fraction(2, 3), exact=True) == Fraction(1, 9)
+    for bad in (Fraction(2, 3) + Fraction(1, 10**30), math.nan):
+        with pytest.raises(ValueError):
+            pue_classical((1, 0, 1), 3, bad, exact=True)
 
 
 def test_sweep_rows_and_order(pairs):
@@ -275,3 +281,87 @@ def test_underflowing_powers_are_rescaled():
     n = 300
     pair = EnumeratorPair(n, 1, (1,) + (0,) * n, (1,) + (0,) * (n - 1) + (3**n,))
     assert pue_stabilizer(pair, 0.1) == pytest.approx(0.1**n, rel=1e-9)
+
+
+# --- p-range checks, one-shot grids and row independence ---------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 Fraction(3, 4) + Fraction(1, 10**30)])
+def test_p_range_rejects_nan_inf_and_just_above_three_quarters(pairs, bad):
+    pair = pairs["c422"]
+    with pytest.raises(ValueError):
+        pue_stabilizer(pair, bad, exact=True)
+    with pytest.raises(ValueError):
+        pue_stabilizer(pair, bad)
+    with pytest.raises(ValueError):
+        sweep(pair, [0.1, bad, 0.2], MODES)
+
+
+@pytest.mark.parametrize("edge", [Fraction(3, 4), -0.0])
+def test_p_range_accepts_three_quarters_and_negative_zero(pairs, edge):
+    pair = pairs["c422"]
+    exact = pue_stabilizer(pair, edge, exact=True)
+    assert exact == fraction_poly(stabilizer_diffs(pair), pair.n,
+                                  1 - Fraction(edge), Fraction(edge) / 3)
+    rows = sweep(pair, [edge], ["stabilizer"])
+    assert rows == [PueResult("", "stabilizer", float(edge),
+                              pue_stabilizer(pair, edge))]
+
+
+def test_sweep_accepts_a_one_shot_grid(pairs):
+    grid = [0.1, 0.2, 0.75]
+    rows = sweep(pairs["five13"], (p for p in grid), MODES, code="five13")
+    assert rows == sweep(pairs["five13"], grid, MODES, code="five13")
+    assert len(rows) == len(grid) * len(MODES)
+    with pytest.raises(ValueError):
+        sweep(pairs["five13"], (p for p in [0.1, 0.9]), MODES)
+
+
+SINGLE_POINT = {"stabilizer": pue_stabilizer, "nonstabilizer": pue_nonstabilizer,
+                "composite": pue_composite, "moments": pue_via_moments}
+# p = 0, tiny p whose powers leave the normal range (the scaled rows),
+# ordinary p and p = 3/4 in one grid.
+MIXED_GRID = [0.1, 0.0, 1e-300, 0.5, 1e-5, 2e-3, 0.75, 1e-9, 0.3, 0.0, 1e-5]
+
+
+WIDE_PAIRS = {"n96": stabilizer_enumerators(_random_code(96, 7, random.Random(11))),
+              "n600": stabilizer_enumerators(AdditiveCode(600, ()))}
+
+
+def _float_reference(pair, p, mode):
+    """The value at the library's float bases, summed exactly, then rounded.
+
+    For n = 96 that is the fsum reference.  The n = 600 code has no
+    generators, so its coefficients pass the float range; by the binomial
+    theorem its polynomial is (x + 3y)^n - x^n and its moment form
+    (x + 4y)^n - (x + y)^n, evaluated exactly at the same float bases.
+    """
+    if pair.n <= 96:
+        return reference_value(pair, p, mode)
+    n, y = pair.n, Fraction(p / 3)
+    if mode == "moments":
+        x = Fraction(1 - 4 * p / 3)
+        return float((x + 4 * y) ** n - (x + y) ** n)
+    x = Fraction(1 - p)
+    value = float((x + 3 * y) ** n - x**n)
+    return pair.dim / (pair.dim + 1) * value if mode == "nonstabilizer" else value
+
+
+@pytest.mark.parametrize("name", WIDE_PAIRS)
+def test_sweep_rows_equal_single_point_values(name):
+    pair = WIDE_PAIRS[name]
+    rows = sweep(pair, MIXED_GRID, MODES)
+    for row in rows:
+        assert type(row) is PueResult
+        assert row.value == SINGLE_POINT[row.mode](pair, row.p), row
+        want = _float_reference(pair, row.p, row.mode)
+        assert abs(row.value - want) <= 8 * EPS * want, row
+
+
+def test_sweep_rows_match_per_row_construction():
+    pair = WIDE_PAIRS["n96"]
+    modes = ["moments", "composite", "moments", "nonstabilizer", "stabilizer"]
+    rows = sweep(pair, MIXED_GRID, modes, code="g96")
+    assert rows == [PueResult("g96", mode, float(p), SINGLE_POINT[mode](pair, p))
+                    for p in MIXED_GRID for mode in modes]
+    assert sweep(pair, MIXED_GRID, []) == []
