@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf4 import AdditiveCode
-from .oracle import (DEFAULT_ORACLE_CAP, _check_p, _hadamard, _range_basis,
-                     _sample_errors, _shard_rng, _split, _uniform_batch,
-                     code_projector)
+from .oracle import (_CHUNK, DEFAULT_ORACLE_CAP, _apply_errors, _check_p,
+                     _hadamard, _range_basis, _sample_errors, _shard_rng,
+                     _split, _uniform_batch, code_projector)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -42,9 +42,6 @@ PROTOCOLS = ("stabilizer", "nonstabilizer")
 _COLLINEAR = 1 - 1e-9
 
 _BORN_TOL = 1e-9
-
-# Trials decided per block of draws.
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ def simulate(code: AdditiveCode, p: float, trials: int,
     p_op = code_projector(code, cap)
     basis = _range_basis(p_op)
     hadamard = _hadamard(code.n)
-    k = np.arange(len(p_op))
 
     undetected = detected = trivial = 0
     for shard, m in enumerate(_split(trials, shards)):
@@ -113,9 +109,8 @@ def simulate(code: AdditiveCode, p: float, trials: int,
             x, z = _sample_errors(code.n, p, rng, c)
             u1 = rng.random(c)
             u2 = rng.random(c) if protocol == "nonstabilizer" else None
-            # E|k> = i^|x&z| (-1)^|k&z| |k^x>, as in oracle._pauli_action;
-            # the global phase cancels in both overlaps below and is dropped.
-            w = np.take_along_axis(hadamard[z] * v, k ^ x[:, None], axis=1)
+            # The global phase of E cancels in both overlaps below.
+            w = _apply_errors(hadamard, v, x, z)
 
             # For a stabilizer code the first measurement never splits.
             # <w|P|w> = ||L^dag w||^2 for the range basis L of P.

@@ -206,13 +206,13 @@ def _verify_checks(code: AdditiveCode, cap: int, tol: float, samples: int,
         yield ("uniform_functional_mc", sigmas <= 4,
                f"{sigmas:.2f} x stderr bound")
 
-    if code.n <= oracle.COMPOSITE_CAP:
-        worst_abs = max(abs(oracle.pue_composite_exact(p_op, pair.dim, p)
+    if oracle._code_space_fits(code.n, pair.dim):
+        worst_abs = max(abs(oracle.pue_composite_exact(p_op, pair.dim, p, cap)
                             - pue.pue_composite(pair, p))
                         for p in (0.05, 0.3))
         yield ("composite_functional", worst_abs <= 1e-10, f"abs_err={worst_abs:.2e}")
     else:
-        yield ("composite_functional", None, "skipped (beyond composite cap)")
+        yield ("composite_functional", None, "skipped (4^n K^2 > 2^16)")
 
     lem5 = oracle.verify_mean_projector(p_op, pair.dim, samples, rng)
     yield ("mean_projector_identity", lem5.within(4.0),

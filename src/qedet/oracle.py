@@ -15,9 +15,7 @@ error E(x, z) maps |j> to i^|x&z| (-1)^|j&z| |j^x>, so
     Tr(E A) = i^(3|x&z|) sum_j (-1)^|j&z| A[j^x, j],
 
 and the traces of one operator against every error are one product of the
-gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.  Likewise
-sum_E Pr(E) E^dag P E = sum_x W_x[j^k] P[j^x, k^x], where W_x is the
-Hadamard transform of Pr(x, .).
+gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.
 
 Uniform subspace states live in K code-space coordinates.  `_range_basis`
 gives an orthonormal basis L of range(P) (L L^dag = P) by a pivoted
@@ -25,15 +23,16 @@ Cholesky; a state is v = L u for a normalized K-dimensional complex
 Gaussian u, and every per-state product goes through L instead of P:
 ||P w||^2 = ||L^dag w||^2, and the mean-projector block sum of the states
 is L (sum u u^dag) L^dag.  Whenever the code-space error table is small
-(4^n K^2 <= 2^16) the exact error sum of `pue_nonstab_mc` is a K^2 x K^2
-quadratic form in conj(u) (x) u, and the states never leave the K
-coordinates.
+(4^n K^2 <= 2^16, `_code_space_fits`) the exact error sum of
+`pue_nonstab_mc` is a K^2 x K^2 quadratic form G in conj(u) (x) u, so the
+states never leave the K coordinates, and `pue_composite_exact` reads the
+composite functional off the same G.
 
 Sharded Monte Carlo estimators draw shard s from
 numpy's PCG64 seeded with SeedSequence(seed, spawn_key=(s,)), so results
 are reproducible for a fixed (seed, shard count).  `pue_nonstab_mc` draws
-in chunks: a block of states, then (when the error sum is sampled) a block
-of errors, so its estimates also depend on `chunk`.
+in chunks of `_CHUNK`: a block of states, then (when the error sum is
+sampled) a block of errors.
 """
 
 from __future__ import annotations
@@ -49,11 +48,13 @@ from .enumerators import EnumeratorPair
 DenseOperator = np.ndarray
 
 DEFAULT_ORACLE_CAP = 6
-COMPOSITE_CAP = 4
+COMPOSITE_CAP = 4  # unused by qedet; the benchmark's verify job reads it
 
-# classify_error_dense treats a matrix as zero when every entry is below
-# this; the entries it compares are dyadic, so exact zeros stay far below.
+# classify_error_dense's tolerance on Tr(EPEP) against 0 and K and on
+# |Tr(EP)| against K; a stabilizer code's traces are dyadic sums, exact here.
 _CLASSIFY_TOL = 1e-10
+# Monte Carlo states (and simulated trials) drawn per block.
+_CHUNK = 256
 # Jackknife blocks of verify_mean_projector and verify_fourth_moment.
 _MOMENT_BLOCKS = 100
 
@@ -63,6 +64,11 @@ _PHASES = np.array([1, 1j, -1, -1j])
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"n={n} exceeds the dense oracle cap of {cap} qubits")
+
+
+def _code_space_fits(n: int, k: int) -> bool:
+    """4^n K^2 <= 2^16: the size rule of every exact code-space path."""
+    return 4 ** n * k * k <= 1 << 16
 
 
 def _check_p(p) -> None:
@@ -108,13 +114,6 @@ def _hadamard(n: int) -> np.ndarray:
     return np.where(np.bitwise_count(j[:, None] & j) & 1, -1.0, 1.0)
 
 
-def _pauli_traces(a: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
-    """t[..., x, z] with Tr(E(x, z) a) = i^(3|x&z|) t[..., x, z], for every
-    index-form error at once; a may carry leading batch axes."""
-    j = np.arange(a.shape[-1])
-    return a[..., j[:, None] ^ j, j] @ hadamard
-
-
 def _error_table(n: int, p: float) -> np.ndarray:
     """Pr(x, z) of every index-form error under the depolarizing channel,
     with the identity's entry set to 0 (its term vanishes identically)."""
@@ -123,15 +122,6 @@ def _error_table(n: int, p: float) -> np.ndarray:
     probs = (p / 3) ** wt * (1 - p) ** (n - wt)
     probs[0, 0] = 0.0
     return probs
-
-
-def _twirl(p_op: DenseOperator, probs: np.ndarray,
-           hadamard: np.ndarray) -> DenseOperator:
-    """sum_E Pr(E) E^dag P E = sum_x W_x[j^k] P[j^x, k^x], W = Pr H."""
-    w = probs @ hadamard
-    j = np.arange(len(p_op))
-    x = j[:, None, None]
-    return np.sum(w[x, j[:, None] ^ j] * p_op[j[:, None] ^ x, j ^ x], axis=0)
 
 
 def pauli_matrix(v: GF4Vector, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
@@ -209,7 +199,8 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
     for x in j:
         a = p_op[j ^ x]
         g[x] = np.take_along_axis(a * a.T, shifts, axis=1).sum(axis=0)
-    traces_sq = h * _pauli_traces(p_op, h) ** 2
+    # Tr(E P) = i^(3|x&z|) (P[j^x, j] H)[x, z], and i^(6|x&z|) = H[x, z].
+    traces_sq = h * (p_op[shifts, j] @ h) ** 2
     traces_epep = h * (g @ h)
     wt = np.bitwise_count(j[:, None] | j).ravel()
 
@@ -253,17 +244,23 @@ def classify_error(code: AdditiveCode, e: GF4Vector) -> str:
 
 def classify_error_dense(p_op: DenseOperator, e: GF4Vector,
                          cap: int = DEFAULT_ORACLE_CAP) -> str:
-    """Matrix version of classify_error, from the action of E on the subspace."""
+    """Matrix version of classify_error, from the traces of E P and E P E P.
+
+    Tr(E P E P) = ||P E P||_F^2 is 0 when E maps the subspace to its
+    complement and K = Tr P when E preserves it; a preserved E acts as +-I
+    on the subspace exactly when |Tr(E P)| = K.
+    """
     _check_cap(e.n, cap)
     rows, phases = _pauli_action(e)
     ep = phases[:, None] * p_op[rows]
-    pep = p_op @ ep
-    if np.max(np.abs(pep)) < _CLASSIFY_TOL:
+    tr_epep = np.sum(ep * ep.T)
+    if abs(tr_epep) < _CLASSIFY_TOL:
         return DETECTED
-    if np.max(np.abs(ep - pep)) >= _CLASSIFY_TOL:
+    k = np.trace(p_op).real
+    if abs(tr_epep - k) >= _CLASSIFY_TOL:
         raise ValueError("error neither preserves the subspace nor maps it "
                          "to the complement; not a valid stabilizer setup")
-    if min(np.max(np.abs(ep - p_op)), np.max(np.abs(ep + p_op))) < _CLASSIFY_TOL:
+    if abs(abs(np.trace(ep)) - k) < _CLASSIFY_TOL:
         return TRIVIAL
     return UNDETECTABLE
 
@@ -482,7 +479,7 @@ class MCEstimate:
 
 def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
                    seed: int = 0, shards: int = 1,
-                   cap: int = DEFAULT_ORACLE_CAP, chunk: int = 256) -> MCEstimate:
+                   cap: int = DEFAULT_ORACLE_CAP) -> MCEstimate:
     """Monte Carlo of the subspace-uniform undetected-error functional.
 
     Averages sum_E Pr(E) ||(I - vv*) P E v||^2 over uniform subspace states.
@@ -492,7 +489,7 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     otherwise.  The identity error term is identically zero (P v = v on the
     subspace) and is skipped, so p = 0 gives exactly 0, as does n = 0, where
     no other error exists.  Each shard draws its states in chunks of
-    `chunk`; when the error sum is sampled, a chunk's block of states is
+    `_CHUNK`; when the error sum is sampled, a chunk's block of states is
     followed by a block of one error per state.
     """
     _check_p(p)
@@ -506,7 +503,7 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     h = _hadamard(n)
     basis = _range_basis(p_op)
     k = basis.shape[1]
-    exact_errors = 4 ** n * k * k <= 1 << 16
+    exact_errors = _code_space_fits(n, k)
     if exact_errors:
         # In code-space coordinates v = L u: v^dag M v = u^dag (L^dag M L) u,
         # and sum_E Pr(E) |<v, E v>|^2 = y^T G conj(y) with y = conj(u) (x) u
@@ -517,14 +514,14 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     count = 0
     for shard, m in enumerate(_split(samples, shards)):
         rng = _shard_rng(seed, shard)
-        for done in range(0, m, chunk):
+        for done in range(0, m, _CHUNK):
             if exact_errors:
-                u = _sphere_batch(min(chunk, m - done), k, rng)
+                u = _sphere_batch(min(_CHUNK, m - done), k, rng)
                 y = (u.conj()[:, :, None] * u[:, None, :]).reshape(len(u), -1)
                 vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
                         - np.sum((y @ g_op) * y.conj(), axis=1).real)
             else:
-                v = _uniform_batch(basis, min(chunk, m - done), rng)
+                v = _uniform_batch(basis, min(_CHUNK, m - done), rng)
                 vals = _sampled_values(basis, h, v,
                                        *_sample_errors(n, p, rng, len(v)))
             n_sum += float(np.sum(vals))
@@ -558,42 +555,46 @@ def _code_space_forms(basis: np.ndarray, probs: np.ndarray,
     return np.einsum("cbca->ab", g.reshape(k, k, k, k)), g
 
 
+def _apply_errors(hadamard: np.ndarray, v: np.ndarray, x: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """Rows E(x, z) v for a block of states and one index-form error each,
+    up to the error's global phase i^|x&z|, which every caller's
+    quantities cancel: E|k> = i^|x&z| (-1)^|k&z| |k^x>."""
+    return np.take_along_axis(hadamard[z] * v,
+                              np.arange(v.shape[1]) ^ x[:, None], axis=1)
+
+
 def _sampled_values(basis: np.ndarray, hadamard: np.ndarray, v: np.ndarray,
                     x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """||P E v||^2 - |<v, P E v>|^2 for each row v of a block of states and
     its index-form error E(x, z), as ||L^dag E v||^2 - |<L^dag v, L^dag E v>|^2
     for the range basis L of P; identity errors give exactly 0."""
-    # E|k> = i^|x&z| (-1)^|k&z| |k^x>; the phase cancels in both terms.
-    ev = np.take_along_axis(hadamard[z] * v,
-                            np.arange(v.shape[1]) ^ x[:, None], axis=1)
-    u = ev @ basis.conj()
+    u = _apply_errors(hadamard, v, x, z) @ basis.conj()
     vals = (np.sum(np.abs(u) ** 2, axis=1)
             - np.abs(np.sum((v.conj() @ basis) * u, axis=1)) ** 2)
     return np.where((x | z) == 0, 0.0, vals)
 
 
 def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
-                        cap: int = COMPOSITE_CAP) -> float:
+                        cap: int = DEFAULT_ORACLE_CAP) -> float:
     """Deterministic evaluation of the entangled-transmission functional.
 
-    Builds the completely entangled state between the subspace and a
-    K-dimensional reference system and sums Pr(E) ||(I - bb*)(P x I)(E x I) b||^2
-    over all errors.  The identity term vanishes identically and is skipped.
+    Sums Pr(E) ||(I - bb*)(P x I)(E x I) b||^2 over all errors for the
+    completely entangled state b = vec(L)/sqrt(K) between the subspace and a
+    K-dimensional reference system.  For M_E = L^dag E L the terms are
+    ||M_E||_F^2/K - |Tr M_E|^2/K^2, so the sum is
+    Tr(G)/K - vec(I)^dag G vec(I)/K^2.  Needs 4^n K^2 <= 2^16.
     """
     _check_p(p)
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
 
+    if not _code_space_fits(n, dim):
+        raise ValueError(f"n={n} with K={dim} exceeds the exact code-space "
+                         f"rule 4^n K^2 <= 2^16")
     basis = _range_basis(p_op)
     if basis.shape[1] != dim:
         raise ValueError("projector rank does not match the declared dimension")
-    # b as a (2^n, K) matrix: reference system = columns.
-    b = basis / math.sqrt(dim)
-    bb = b @ b.conj().T
-    h = _hadamard(n)
-    probs = _error_table(n, p)
-    # sum_E Pr(E) ||(P E x I) b||^2 = Tr(M b b^dag) with M = sum Pr E^dag P E,
-    # and <b, (P E x I) b> = Tr(E b b^dag P).
-    norms = np.sum(_twirl(p_op, probs, h) * bb.T).real
-    overlaps = np.sum(probs * np.abs(_pauli_traces(bb @ p_op, h)) ** 2)
-    return float(norms - overlaps)
+    g = _code_space_forms(basis, _error_table(n, p), _hadamard(n))[1]
+    on_eye = g[::dim + 1, ::dim + 1]  # the rows and columns where vec(I) is 1
+    return float(np.trace(g).real / dim - np.sum(on_eye).real / (dim * dim))

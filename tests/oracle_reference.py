@@ -15,7 +15,8 @@ projectors, each measurement replaying its pre-drawn uniform.
 jackknifes the stack of leave-one-out means, where the library streams.
 `code_space_errors` holds the whole (4^n, K^2) table of code-space errors
 L^dag E L, which the library folds into its quadratic form one shift at a
-time.
+time, and `twirl` forms sum_E Pr(E) E^dag P E in the full space, which the
+library only ever forms in code-space coordinates.
 """
 
 from __future__ import annotations
@@ -133,8 +134,7 @@ def composite_loop(p_op: np.ndarray, dim: int, p: float) -> float:
 
 
 def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
-                          seed: int = 0, shards: int = 1,
-                          chunk: int = 256) -> tuple[float, float]:
+                          seed: int = 0, shards: int = 1) -> tuple[float, float]:
     """(estimate, stderr) of the exact-error branch of pue_nonstab_mc from the
     same state draws: P E v for every non-identity error, one dense P E
     product per error over all the states."""
@@ -143,8 +143,8 @@ def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
     blocks = []
     for shard, m in enumerate(_split(samples, shards)):
         rng = _shard_rng(seed, shard)
-        for done in range(0, m, chunk):
-            blocks.append(_uniform_batch(basis, min(chunk, m - done), rng))
+        for done in range(0, m, _CHUNK):
+            blocks.append(_uniform_batch(basis, min(_CHUNK, m - done), rng))
     v = np.concatenate(blocks)
     vals = np.zeros(len(v))
     for e in all_vectors(n):
@@ -172,6 +172,16 @@ def code_space_errors(basis: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
     f = basis.conj()[j[:, None] ^ j][..., None] * basis[:, None, :]
     m = np.moveaxis(f, 1, 3) @ hadamard
     return m.transpose(0, 3, 1, 2).reshape(len(j) ** 2, -1)
+
+
+def twirl(p_op: np.ndarray, probs: np.ndarray,
+          hadamard: np.ndarray) -> np.ndarray:
+    """sum_E Pr(E) E^dag P E = sum_x W_x[j^k] P[j^x, k^x], W = Pr H, over
+    the index-form error table Pr(x, z): one (2^n)^3 gather."""
+    w = probs @ hadamard
+    j = np.arange(len(p_op))
+    x = j[:, None, None]
+    return np.sum(w[x, j[:, None] ^ j] * p_op[j[:, None] ^ x, j ^ x], axis=0)
 
 
 def sampled_values_dense(p_op: np.ndarray, v: np.ndarray,

@@ -118,7 +118,7 @@ def test_05_uniform_functional_mc_19_of_20_seeds(catalog):
 def test_06_composite_functional_exact(catalog):
     codes, pairs = catalog
     with criterion("06 composite-functional", 60):
-        for name in ("bell", "c422"):
+        for name in ("bell", "c422", "five13"):
             p_op = code_projector(codes[name])
             for p in (0.05, 0.3, 0.74):
                 got = pue_composite_exact(p_op, codes[name].dim, p)

@@ -216,6 +216,16 @@ def test_verify_all_catalog_codes(capsys):
         code, out, _ = run(capsys, "verify", name, "--samples", "4000",
                            "--seed", "1")
         assert code == 0, f"{name} failed:\n{out}"
+        assert "\ncomposite_functional,PASS," in out
+
+
+def test_verify_composite_row_follows_size_rule(tmp_path, capsys):
+    # 4^n K^2 is 2^16 for this [[6,2]] code (K = 4): the composite row runs.
+    g62 = tmp_path / "g62.code"
+    g62.write_text("n=6 k=2\nXXXYXY\nXYYIII\nZZYZII\nIIYIZI\n")
+    code, out, _ = run(capsys, "verify", str(g62), "--samples", "2000")
+    assert code == 0, out
+    assert "\ncomposite_functional,PASS," in out
 
 
 def test_verify_mc_band_does_not_collapse(capsys):
@@ -241,6 +251,8 @@ def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys):
                        "--samples", "10000", "--seed", "104")
     assert code == 0
     assert "uniform_functional_mc,PASS,2.53 x stderr bound" in out
+    # 4^7 K^2 = 2^18 is beyond the exact code-space rule.
+    assert "\ncomposite_functional,SKIP," in out
     c = parse_code(c72.read_text())
     est = pue_nonstab_mc(code_projector(c, cap=7), c.dim, 0.1, 10000,
                          seed=104, cap=7)

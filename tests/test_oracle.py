@@ -19,7 +19,7 @@ from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
 from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, MomentReport,
                           _code_space_forms, _error_table, _hadamard,
                           _range_basis, _reverse_bits, _sample_errors,
-                          _sampled_values, _shard_rng, _twirl, _uniform_batch,
+                          _sampled_values, _shard_rng, _uniform_batch,
                           classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
@@ -29,7 +29,8 @@ from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
 
 from oracle_reference import (code_space_errors, composite_loop,
                               enumerators_loop, mc_matrix_mean_list,
-                              nonstab_mc_exact_loop, sampled_values_dense)
+                              nonstab_mc_exact_loop, sampled_values_dense,
+                              twirl)
 from test_gf4 import _random_code, self_orthogonal_codes
 
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
@@ -299,9 +300,23 @@ def test_classify_dense_cap():
         classify_error_dense(np.eye(128, dtype=complex), GF4Vector.zero(7))
 
 
-@pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422"])
-def test_classification_agreement_exhaustive(name):
-    code = get_code(name)
+def test_classify_dense_rejects_partial_overlap():
+    # P projects onto cos(pi/8)|0> + sin(pi/8)|1>: Tr(ZPZP) = <Z>^2 =
+    # cos(pi/4)^2 = 1/2, neither 0 nor K = 1.
+    psi = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)], dtype=complex)
+    p_op = np.outer(psi, psi.conj())
+    with pytest.raises(ValueError, match="neither preserves"):
+        classify_error_dense(p_op, label_to_vector("Z"))
+
+
+# A random [[6, 6 - r]] code, r = 2..5: all 4^6 errors are classified.
+RANDOM_N6 = _random_n6_code(0)
+
+
+@pytest.mark.parametrize("code", [get_code("trivial-n1"), get_code("bell"),
+                                  get_code("c422"), RANDOM_N6],
+                         ids=["trivial-n1", "bell", "c422", "random-n6"])
+def test_classification_agreement_exhaustive(code):
     p = code_projector(code)
     for e in all_vectors(code.n):
         assert classify_error(code, e) == classify_error_dense(p, e)
@@ -628,23 +643,23 @@ EXACT_CODES = {
 }
 
 
-@pytest.mark.parametrize("name,p,samples,shards,chunk", [
-    ("trivial-n1", 0.3, 2000, 1, 256),
-    ("c422", 0.1, 3001, 3, 256),
-    ("c422", 0.75, 1000, 2, 97),
-    ("random-n4", 0.2, 1500, 1, 64),
-    ("five13", 0.1, 600, 2, 128),
-    ("random-n5-r2", 0.2, 600, 2, 128),
-    ("random-n6-r4", 0.1, 300, 2, 100),
+# Every shard draws at least two 256-state chunks, the last one short.
+@pytest.mark.parametrize("name,p,samples,shards", [
+    ("trivial-n1", 0.3, 2000, 1),
+    ("c422", 0.1, 3001, 3),
+    ("c422", 0.75, 1000, 2),
+    ("random-n4", 0.2, 1500, 1),
+    ("five13", 0.1, 600, 2),
+    ("random-n5-r2", 0.2, 600, 2),
+    ("random-n6-r4", 0.1, 300, 1),
 ])
 def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples,
-                                                       shards, chunk):
+                                                       shards):
     code = EXACT_CODES[name] if name in EXACT_CODES else get_code(name)
     p_op = code_projector(code)
-    got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7, shards=shards,
-                         chunk=chunk)
+    got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7, shards=shards)
     want, want_stderr = nonstab_mc_exact_loop(p_op, p, samples, seed=7,
-                                              shards=shards, chunk=chunk)
+                                              shards=shards)
     assert want > 0
     assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
     if name == "five13":
@@ -665,9 +680,9 @@ def test_pue_nonstab_mc_branch_rule_boundary(n, rank, exact):
     code = _random_code(n, rank, random.Random(n + rank))
     assert (4 ** n * code.dim ** 2 <= 1 << 16) == exact
     p_op, p, c, seed = code_projector(code), 0.2, 200, 13
-    got = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed, chunk=c)
+    got = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed)
     if exact:
-        want = nonstab_mc_exact_loop(p_op, p, c, seed=seed, chunk=c)[0]
+        want = nonstab_mc_exact_loop(p_op, p, c, seed=seed)[0]
     else:
         rng = _shard_rng(seed, 0)
         v = _uniform_batch(_range_basis(p_op), c, rng)
@@ -683,13 +698,14 @@ def test_pue_nonstab_mc_branch_rule_boundary(n, rank, exact):
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.75])
 def test_code_space_twirl_is_partial_trace_of_gram(name, p):
     # L^dag (sum_E Pr(E) E^dag P E) L = sum_E Pr(E) M_E^dag M_E = Tr_1 G,
-    # since P = L L^dag; pins the exact branch's twirl term to _twirl.
+    # since P = L L^dag; pins the exact branch's twirl term to the
+    # full-space reference.
     p_op = code_projector(get_code(name))
     n = (len(p_op) - 1).bit_length()
     basis = _range_basis(p_op)
     probs, h = _error_table(n, p), _hadamard(n)
     got = _code_space_forms(basis, probs, h)[0]
-    want = basis.conj().T @ _twirl(p_op, probs, h) @ basis
+    want = basis.conj().T @ twirl(p_op, probs, h) @ basis
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -716,9 +732,8 @@ def test_pue_nonstab_mc_exact_branch_generic_projector():
     q, _ = np.linalg.qr(rng.standard_normal((16, 3))
                         + 1j * rng.standard_normal((16, 3)))
     p_op = q @ q.conj().T
-    got = pue_nonstab_mc(p_op, 3, 0.2, 1200, seed=9, chunk=100)
-    want, want_stderr = nonstab_mc_exact_loop(p_op, 0.2, 1200, seed=9,
-                                              chunk=100)
+    got = pue_nonstab_mc(p_op, 3, 0.2, 1200, seed=9)
+    want, want_stderr = nonstab_mc_exact_loop(p_op, 0.2, 1200, seed=9)
     assert want > 0
     assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
     assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
@@ -742,7 +757,7 @@ def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.all(got[(x | z) == 0] == 0.0)
     assert 0 < np.sum((x | z) == 0) < c
-    est = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed, chunk=c)
+    est = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed)
     assert est.estimate == pytest.approx(np.mean(want), rel=1e-12, abs=0)
 
 
@@ -799,13 +814,30 @@ def test_composite_exact_rank_one_is_zero():
     assert abs(pue_composite_exact(p_op, 1, 0.3)) < 1e-12
 
 
-def test_composite_exact_cap():
-    p_op = code_projector(get_code("five13"))
-    with pytest.raises(ValueError):
-        pue_composite_exact(p_op, 2, 0.1)
+@pytest.mark.parametrize("code,exact", [
+    (get_code("five13"), True),
+    (EXACT_CODES["random-n5-r2"], True),
+    (EXACT_CODES["random-n6-r4"], True),
+    (_random_code(5, 1, random.Random(6)), False),
+    (_random_code(6, 3, random.Random(9)), False),
+], ids=["five13", "random-n5-r2", "random-n6-r4", "n5-r1", "n6-r3"])
+def test_composite_exact_size_rule_boundary(code, exact):
+    # The rule of pue_nonstab_mc's exact branch: 4^n K^2 is 2^12 for five13,
+    # 2^16 for n = 5, K = 8 and n = 6, K = 4 (evaluated), and 2^18 for
+    # n = 5, K = 16 and n = 6, K = 8 (refused).
+    assert (4 ** code.n * code.dim ** 2 <= 1 << 16) == exact
+    p_op = code_projector(code)
+    for p in (0.05, 0.3):
+        if exact:
+            got = pue_composite_exact(p_op, code.dim, p)
+            assert got > 0
+            assert abs(got - composite_loop(p_op, code.dim, p)) <= 1e-13
+        else:
+            with pytest.raises(ValueError, match="4\\^n K\\^2"):
+                pue_composite_exact(p_op, code.dim, p)
 
 
-@pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422"])
+@pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422", "five13"])
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.75])
 def test_composite_exact_equals_error_loop(name, p):
     code = get_code(name)
