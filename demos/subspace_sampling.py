@@ -22,8 +22,7 @@ print("\nmean outer product vs P/K (five13, K=2):")
 for n in (1000, 10000, 100000):
     report = verify_mean_projector(p_op, 2, n, rng)
     print(f"  N={n:>6}: deviation={report.deviation:.2e}  "
-          f"jackknife sigma={report.sigma:.2e}  "
-          f"expected rms={report.expected_rms:.2e}")
+          f"predicted rms sigma={report.sigma:.2e}")
 
 print("\nmean fourth moment vs (I + SWAP)/(K(K+1)) (K=4):")
 for n in (1000, 10000, 100000):

@@ -55,7 +55,7 @@ COMPOSITE_CAP = 4  # unused by qedet; the benchmark's verify job reads it
 _CLASSIFY_TOL = 1e-10
 # Monte Carlo states (and simulated trials) drawn per block.
 _CHUNK = 256
-# Jackknife blocks of verify_mean_projector and verify_fourth_moment.
+# Most blocks a moment check draws its samples in (bounds its memory).
 _MOMENT_BLOCKS = 100
 
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -64,6 +64,12 @@ _PHASES = np.array([1, 1j, -1, -1j])
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"n={n} exceeds the dense oracle cap of {cap} qubits")
+
+
+def _check_dim(p_op: DenseOperator, dim: int) -> None:
+    """A projector's trace is its rank, which must be the declared K."""
+    if abs(np.trace(p_op) - dim) > 1e-8:
+        raise ValueError("projector rank does not match the declared dimension")
 
 
 def _code_space_fits(n: int, k: int) -> bool:
@@ -188,6 +194,7 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
     """
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
+    _check_dim(p_op, dim)
     h = _hadamard(n)
     j = np.arange(1 << n)
     shifts = j[:, None] ^ j
@@ -337,64 +344,35 @@ class MomentReport:
     """Deviation of a Monte Carlo matrix mean from its analytic target."""
 
     deviation: float        # Frobenius distance of the sample mean
-    sigma: float            # jackknife estimate of the sampling std of the mean
-    expected_rms: float     # analytic sqrt(E deviation^2) under the claim
+    sigma: float            # analytic sqrt(E deviation^2) under the claim
     samples: int
 
     def within(self, band: float = 4.0) -> bool:
-        """Deviation within `band` jackknife sigmas.  When the claim leaves
-        no sampling spread (expected_rms == 0, as for K = 1, where every
-        sample equals the target), the test is deterministic instead:
-        deviation <= 1e-10, since sigma is then rounding noise."""
-        if self.expected_rms == 0:
+        """Deviation within `band` predicted sigmas.  When the claim leaves
+        no sampling spread (sigma == 0, as for K = 1, where every sample
+        equals the target), the test is deviation <= 1e-10 instead, which
+        leaves room for rounding."""
+        if self.sigma == 0:
             return self.deviation <= 1e-10
         return self.deviation <= band * self.sigma
 
 
 def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
                     unit_var: float) -> MomentReport:
-    """Accumulate block sums of a matrix-valued sampler and jackknife them.
+    """Distance of the mean of `total` samples from its target, with the rms
+    distance sqrt(unit_var / total) that the claim predicts, where
+    unit_var = E ||X - target||_F^2 for one sample X.
 
-    sample_block(count) must return the SUM of `count` fresh sample matrices;
-    unit_var / total is the analytic mean-square deviation reported alongside.
-    The jackknife needs two blocks, so `total` must be at least 2.
-
-    The delete-a-block jackknife streams in O(d^2) memory, one block at a
-    time, keeping no block sums.  With T samples, block sizes m_b, block
-    sums S_b, a_b = 1/(T - m_b), residuals R_b = S_b - m_b target,
-    R = sum_b R_b and E_b = a_b R_b, the leave-one-out mean of block b is
-    target + a_b (R - R_b), and its distance from the mean of all of them is
-    (a_b - abar) R - (E_b - Ebar).  Hence
-
-        sum_b ||.||^2 = sum_b (a_b - abar)^2 ||R||^2
-                        - 2 Re <R, sum_b (a_b - abar) E_b>
-                        + sum_b ||E_b - Ebar||^2,
-
-    the last term by Welford's update.  The residuals are taken about the
-    target, so blocks that all equal their target (K = 1) give exactly 0.
+    sample_block(count) must return the SUM of `count` fresh sample matrices.
+    The samples come in at most _MOMENT_BLOCKS blocks, summed in order, so
+    memory stays at one block of states.
     """
-    if total < 2:
-        raise ValueError(f"a moment check needs at least 2 samples, not {total}")
-    blocks = min(_MOMENT_BLOCKS, total)
-    sizes = _split(total, blocks)
-    a = [1 / (total - m) for m in sizes]
-    a_mean = math.fsum(a) / blocks
-    full = cross = e_mean = e_sq = 0.0
-    for k, (m, a_b) in enumerate(zip(sizes, a), 1):
-        s = sample_block(m)
-        full = full + s
-        e = a_b * (s - m * target)
-        cross = cross + (a_b - a_mean) * e
-        delta = e - e_mean
-        e_mean = e_mean + delta / k
-        e_sq += np.vdot(delta, e - e_mean).real
-    deviation = float(np.linalg.norm(full / total - target))
-
-    r = full - total * target
-    spread = math.fsum((a_b - a_mean) ** 2 for a_b in a)
-    ss = spread * np.vdot(r, r).real - 2 * np.vdot(r, cross).real + e_sq
-    var = (blocks - 1) / blocks * max(ss, 0.0)
-    return MomentReport(deviation, float(math.sqrt(var)),
+    if total < 1:
+        raise ValueError(f"a moment check needs at least 1 sample, not {total}")
+    full = 0.0
+    for m in _split(total, min(_MOMENT_BLOCKS, total)):
+        full = full + sample_block(m)
+    return MomentReport(float(np.linalg.norm(full / total - target)),
                         math.sqrt(unit_var / total), total)
 
 
@@ -403,9 +381,11 @@ def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
     """Check that the mean outer product of uniform subspace states is P/K.
 
     A block of states v = L u sums to L (sum u u^dag) L^dag: a K x K sum and
-    two thin maps.  The jackknife runs on these full-space block sums
-    against P/K, so P stays in the check.
+    two thin maps.  The mean of these full-space block sums is compared
+    with P/K, so P stays in the check; one state lies sqrt(1 - 1/K) from
+    P/K in Frobenius norm.
     """
+    _check_dim(p_op, dim)
     target = p_op / dim
     basis = _range_basis(p_op)
 
@@ -421,7 +401,8 @@ def verify_fourth_moment(dim: int, samples: int,
     """Check the fourth-moment identity for uniform states on a K-sphere.
 
     The mean of vv* (x) vv* must equal (I + SWAP) / (K (K + 1)); the identity
-    and swap operators span the unitarily invariant subspace.
+    and swap operators span the unitarily invariant subspace.  One sample
+    lies sqrt(1 - 2/(K (K + 1))) from the target in Frobenius norm.
     """
     swap = np.zeros((dim * dim, dim * dim))
     for i in range(dim):
@@ -497,6 +478,7 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         raise ValueError("samples and shards must be positive")
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
+    _check_dim(p_op, dim)
 
     if n == 0:
         return MCEstimate(0.0, 0.0, samples, seed, shards, p)
@@ -588,13 +570,12 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
     _check_p(p)
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
+    _check_dim(p_op, dim)
 
     if not _code_space_fits(n, dim):
         raise ValueError(f"n={n} with K={dim} exceeds the exact code-space "
                          f"rule 4^n K^2 <= 2^16")
-    basis = _range_basis(p_op)
-    if basis.shape[1] != dim:
-        raise ValueError("projector rank does not match the declared dimension")
-    g = _code_space_forms(basis, _error_table(n, p), _hadamard(n))[1]
+    g = _code_space_forms(_range_basis(p_op), _error_table(n, p),
+                          _hadamard(n))[1]
     on_eye = g[::dim + 1, ::dim + 1]  # the rows and columns where vec(I) is 1
     return float(np.trace(g).real / dim - np.sum(on_eye).real / (dim * dim))

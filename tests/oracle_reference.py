@@ -11,8 +11,8 @@ forms it is checked against: one row gather per error
 errors, u1, then u2 for the nonstabilizer protocol) and plays each trial on
 its own, measuring against (P, I - P) and then (vv*, P - vv*) with dense
 projectors, each measurement replaying its pre-drawn uniform.
-`mc_matrix_mean_list` keeps every block sum of a moment check and
-jackknifes the stack of leave-one-out means, where the library streams.
+`mc_matrix_mean_list` keeps every block sum of a moment check and sums
+the stack, where the library adds each block as it comes.
 `code_space_errors` holds the whole (4^n, K^2) table of code-space errors
 L^dag E L, which the library folds into its quadratic form one shift at a
 time, and `twirl` forms sum_E Pr(E) E^dag P E in the full space, which the
@@ -85,18 +85,11 @@ def sample_errors_loop(n: int, p: float, rng: np.random.Generator,
 
 def mc_matrix_mean_list(sample_block, target: np.ndarray, total: int,
                         unit_var: float) -> MomentReport:
-    """`oracle._mc_matrix_mean` from a list of all block sums: the
-    leave-one-out means stacked and their spread summed directly."""
-    blocks = min(_MOMENT_BLOCKS, total)
-    sizes = _split(total, blocks)
-    sums = [sample_block(m) for m in sizes]
+    """`oracle._mc_matrix_mean` from a list of all block sums, stacked and
+    summed at once."""
+    sums = [sample_block(m) for m in _split(total, min(_MOMENT_BLOCKS, total))]
     full = np.sum(sums, axis=0)
-    deviation = float(np.linalg.norm(full / total - target))
-
-    loo = np.array([(full - s) / (total - m) for s, m in zip(sums, sizes)])
-    center = loo.mean(axis=0)
-    var = (blocks - 1) / blocks * np.sum(np.abs(loo - center) ** 2)
-    return MomentReport(deviation, float(math.sqrt(var)),
+    return MomentReport(float(np.linalg.norm(full / total - target)),
                         math.sqrt(unit_var / total), total)
 
 

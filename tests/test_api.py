@@ -3,9 +3,11 @@ exports shows up as a diff of this list."""
 
 from __future__ import annotations
 
+import dataclasses
 import types
 
 import qedet
+from qedet.oracle import MCEstimate, MomentReport
 
 PUBLIC_NAMES = [
     "AdditiveCode", "CATALOG", "CodeFormatError", "EnumeratorPair",
@@ -28,3 +30,18 @@ def test_public_names_are_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# The fields of the report types, which `qedbench` and callers read by name.
+REPORT_FIELDS = {
+    MomentReport: ["deviation", "sigma", "samples"],
+    MCEstimate: ["estimate", "stderr", "samples", "seed", "shards", "p"],
+    qedet.SimReport: ["protocol", "p", "trials", "seed", "shards", "estimate",
+                      "stderr", "undetected_count", "detected_count",
+                      "trivial_count"],
+}
+
+
+def test_report_fields_are_pinned():
+    for cls, names in REPORT_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__

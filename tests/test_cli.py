@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,23 @@ def test_simulate_reports_sigma_distance(capsys):
     assert "stderr" in err  # analytic comparison goes to stderr, not stdout
 
 
+def test_simulate_distance_without_undetected_trials(capsys):
+    # No trial ends undetected, so the sample's own stderr is 0; the band
+    # is the binomial stderr at the closed form q.
+    code, out, err = run(capsys, "simulate", "five13", "--p", "0.01",
+                         "--trials", "1000", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["counts"]["undetected"] == 0
+    q = pue_stabilizer(stabilizer_enumerators(get_code("five13")), 0.01)
+    assert err.startswith(f"analytic {q!r},") and "stderr" in err
+    distance = float(err.split("distance ")[1].split()[0])
+    assert distance == pytest.approx(q / math.sqrt(q * (1 - q) / 1000), abs=0.01)
+    # At p = 0 the band is 0 and so is every distance from it.
+    code, _, err = run(capsys, "simulate", "c422", "--p", "0", "--trials", "10")
+    assert code == 0
+    assert err == "analytic 0.0, distance 0.00 x stderr bound\n"
+
+
 @pytest.mark.parametrize("protocol, closed_form", [
     ("stabilizer", pue_stabilizer), ("nonstabilizer", pue_nonstabilizer)])
 def test_simulate_analytic_is_the_closed_form(capsys, protocol, closed_form):
@@ -186,6 +204,14 @@ def test_verify_c422_passes(capsys):
     assert lines[0] == "check,status,detail"
     statuses = {line.split(",")[1] for line in lines[1:]}
     assert statuses <= {"PASS", "SKIP"}
+
+
+def test_verify_one_sample_passes(capsys):
+    # One sample lies exactly the predicted rms from each moment target.
+    code, out, _ = run(capsys, "verify", "c422", "--samples", "1")
+    assert code == 0, out
+    assert "\nmean_projector_identity,PASS," in out
+    assert "\nfourth_moment_identity,PASS," in out
 
 
 VERIFY_CHECKS = [
@@ -298,13 +324,13 @@ def test_verify_cap_env_override(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "c422", "--samples", "1"),       # one jackknife block
+    ("verify", "c422", "--samples", "0"),
     ("verify", "c422", "--seed", "-1"),
     ("simulate", "c422", "--p", "0.1", "--seed", "-1"),
     ("verify", "bell", "--tol", "nan"),
     ("verify", "bell", "--tol", "inf"),
     ("verify", "bell", "--tol", "-1e-3"),
-], ids=["verify-samples-1", "verify-seed-negative", "simulate-seed-negative",
+], ids=["verify-samples-0", "verify-seed-negative", "simulate-seed-negative",
         "verify-tol-nan", "verify-tol-inf", "verify-tol-negative"])
 def test_bad_numeric_option_exits_2_before_stdout(capsys, argv):
     with pytest.raises(SystemExit) as exc:

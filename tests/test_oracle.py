@@ -3,6 +3,7 @@ classification, partial traces, subspace sampling, and the MC functionals."""
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from functools import partial
@@ -458,22 +459,51 @@ def test_mean_projector_within_band():
     report = verify_mean_projector(p, 2, 20000, _rng(8))
     assert report.samples == 20000
     assert report.within(4.0)
-    assert report.sigma == pytest.approx(report.expected_rms, rel=0.2)
+
+
+def test_moment_sigma_is_the_predicted_rms():
+    # One state lies sqrt(1 - 1/K) from P/K and one fourth-moment sample
+    # sqrt(1 - 2/(K (K + 1))) from its target; N samples shrink that by
+    # sqrt(N).
+    for name, n in (("five13", 2000), ("c422", 333)):
+        code = get_code(name)
+        k = code.dim
+        report = verify_mean_projector(code_projector(code), k, n, _rng(8))
+        assert report.sigma == math.sqrt((1 - 1 / k) / n)
+    for k, n in ((2, 2000), (4, 333), (8, 7)):
+        report = verify_fourth_moment(k, n, _rng(8))
+        assert report.sigma == math.sqrt((1 - 2 / (k * (k + 1))) / n)
+
+
+@pytest.mark.parametrize("check", [
+    partial(verify_mean_projector, code_projector(get_code("five13")), 2),
+    partial(verify_mean_projector, code_projector(get_code("c422")), 4),
+    partial(verify_fourth_moment, 2), partial(verify_fourth_moment, 4),
+    partial(verify_fourth_moment, 8)],
+    ids=["five13", "c422", "fourth-K2", "fourth-K4", "fourth-K8"])
+def test_one_sample_lies_exactly_sigma_away(check):
+    # ||X - target||_F^2 is the same for every pure-state sample X, so one
+    # sample's deviation is the predicted rms itself.
+    for seed in range(5):
+        report = check(1, _rng(seed))
+        assert abs(report.deviation - report.sigma) <= 1e-12
+        assert report.within(4.0)
 
 
 def test_mean_projector_rank_one_is_deterministic():
     p = code_projector(get_code("bell"))
     report = verify_mean_projector(p, 1, 500, _rng(9))
     assert report.deviation < 1e-12
-    assert report.expected_rms == 0 and report.within(4.0)
+    assert report.sigma == 0 and report.within(4.0)
 
 
 def test_within_is_deterministic_without_sampling_spread():
-    # expected_rms == 0 (K = 1): sigma is rounding noise, which can fall
-    # below a rounding-level deviation, so the band gives way to 1e-10.
-    assert MomentReport(1.1e-16, 4.4e-18, 0.0, 500).within(4.0)
-    assert not MomentReport(2e-10, 1.0, 0.0, 500).within(4.0)
-    assert not MomentReport(1.1e-16, 4.4e-18, 0.01, 500).within(4.0)
+    # sigma == 0 (K = 1): a zero-width band would fail a rounding-level
+    # deviation, so it gives way to 1e-10.
+    assert MomentReport(1.1e-16, 0.0, 500).within(4.0)
+    assert not MomentReport(2e-10, 0.0, 500).within(4.0)
+    assert MomentReport(3.9e-3, 1e-3, 500).within(4.0)
+    assert not MomentReport(4.1e-3, 1e-3, 500).within(4.0)
 
 
 @pytest.mark.parametrize("code", [get_code("bell"), get_code("c422"),
@@ -505,20 +535,22 @@ def test_fourth_moment_rank_one_exact():
     assert report.deviation < 1e-12
 
 
-def test_moment_checks_need_two_samples():
-    # One sample is one jackknife block, whose band has zero width.
+def test_moment_checks_need_one_sample():
     p = code_projector(get_code("five13"))
-    with pytest.raises(ValueError, match="at least 2 samples"):
-        verify_mean_projector(p, 2, 1, _rng(12))
-    with pytest.raises(ValueError, match="at least 2 samples"):
-        verify_fourth_moment(2, 1, _rng(12))
-    assert verify_fourth_moment(2, 2, _rng(12)).sigma > 0
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        verify_mean_projector(p, 2, 0, _rng(12))
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        verify_fourth_moment(2, 0, _rng(12))
+    assert verify_mean_projector(p, 2, 1, _rng(12)).samples == 1
+    assert verify_fourth_moment(2, 1, _rng(12)).sigma > 0
 
 
 @pytest.mark.parametrize("total", (2, 3, 99, 100, 101, 150, 1234, 20000))
 def test_streaming_jackknife_equals_block_list(total, monkeypatch):
-    # c422 and five13 (K = 4, 2), and K = 1, where every block equals its
-    # target; totals not divisible by the block count give unequal blocks.
+    # The library sums its blocks as they come; the reference keeps them
+    # all and sums the stack.  c422 and five13 (K = 4, 2), and K = 1, where
+    # every block equals its target; totals not divisible by the block count
+    # give unequal blocks.
     for name in ("c422", "five13", "bell"):
         code = get_code(name)
         p_op = code_projector(code)
@@ -528,18 +560,7 @@ def test_streaming_jackknife_equals_block_list(total, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_mc_matrix_mean", mc_matrix_mean_list)
                 listed = check(total, _rng(total))
-            assert streamed.deviation == listed.deviation
-            assert streamed.expected_rms == listed.expected_rms
-            if code.dim == 1:
-                # Both sigmas are rounding noise here.  Each of the list's B
-                # leave-one-out means carries a rounding error of about
-                # eps ||target||_F, so its sigma sits at up to about
-                # sqrt(B) eps ||target||_F (1.1e-15 at total 20000).
-                floor = (np.sqrt(min(oracle._MOMENT_BLOCKS, total))
-                         * np.finfo(float).eps)
-                assert abs(streamed.sigma - listed.sigma) <= floor
-            else:
-                assert streamed.sigma == pytest.approx(listed.sigma, rel=1e-12)
+            assert streamed == listed
 
 
 def _traced_peak(fn, *args) -> int:
@@ -853,6 +874,21 @@ def test_composite_exact_equals_error_loop_random(code):
     for p in (0.1, 0.6):
         got = pue_composite_exact(p_op, code.dim, p)
         assert abs(got - composite_loop(p_op, code.dim, p)) <= 1e-13
+
+
+@pytest.mark.parametrize("call", [
+    lambda p_op: enumerators_bruteforce(p_op, 2),
+    lambda p_op: pue_nonstab_mc(p_op, 3, 0.1, 10),
+    lambda p_op: verify_mean_projector(p_op, 2, 500, _rng(0)),
+    lambda p_op: pue_composite_exact(p_op, 2, 0.1),
+], ids=["enumerators_bruteforce", "pue_nonstab_mc", "verify_mean_projector",
+        "pue_composite_exact"])
+def test_declared_dimension_must_be_the_rank(call):
+    # c422's projector has rank 4.  Unchecked, a wrong K scales the trace
+    # enumerators to (4, 0, 0, 0, 12) and moves the mean projector's
+    # target, failing a correct sampler.
+    with pytest.raises(ValueError, match="rank does not match"):
+        call(code_projector(get_code("c422")))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.75])
