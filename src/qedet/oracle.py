@@ -21,22 +21,27 @@ Uniform subspace states live in K code-space coordinates.  `_range_basis`
 gives an orthonormal basis L of range(P) (L L^dag = P) by a pivoted
 Cholesky; a state is v = L u for a normalized K-dimensional complex
 Gaussian u, and every per-state product goes through L instead of P:
-||P w||^2 = ||L^dag w||^2, and the mean-projector block sum of the states
-is L (sum u u^dag) L^dag.  Whenever the code-space error table is small
+||P w||^2 = ||L^dag w||^2.  Whenever the code-space error table is small
 (4^n K^2 <= 2^16, `_code_space_fits`) the exact error sum of
-`pue_nonstab_mc` is a K^2 x K^2 quadratic form G in conj(u) (x) u, so the
-states never leave the K coordinates, and `pue_composite_exact` reads the
-composite functional off the same G.
+`pue_nonstab_mc` is a K^2 x K^2 quadratic form G in conj(u) (x) u, and
+`pue_composite_exact` sums the tables of M_E = L^dag E L that G is built
+from.  That exact branch and the two moment checks draw a run of chunks
+per standard_normal call, in the stream order of one call per chunk, as
+many as keep each temporary within _CHUNK_CELLS = 2^13 cells, and hold
+the states coordinate-major (K x N).  The exact branch and the fourth
+moment work on the K^2 real coordinates of conj(u) u^T: K^4 real
+multiply-adds a state.
 
 Sharded Monte Carlo estimators draw shard s from
 numpy's PCG64 seeded with SeedSequence(seed, spawn_key=(s,)), so results
 are reproducible for a fixed (seed, shard count).  `pue_nonstab_mc` draws
 in chunks of `_CHUNK`: a block of states, then (when the error sum is
-sampled) a block of errors.
+sampled) a block of errors; chunk sums enter the estimate in chunk order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +60,10 @@ COMPOSITE_CAP = 4  # unused by qedet; the benchmark's verify job reads it
 _CLASSIFY_TOL = 1e-10
 # Monte Carlo states (and simulated trials) drawn per block.
 _CHUNK = 256
+# Cells per temporary of a chunked array computation (a complex entry is two
+# cells): 2^13 float64 cells keep every temporary at 64 KiB, under glibc's
+# 128 KiB mmap threshold.
+_CHUNK_CELLS = 1 << 13
 # Most blocks a moment check draws its samples in (bounds its memory).
 _MOMENT_BLOCKS = 100
 
@@ -102,22 +111,33 @@ def _reverse_bits(a: int, n: int) -> int:
     return r
 
 
+@functools.cache
+def _bit_reversal(n: int) -> tuple[int, ...]:
+    """_reverse_bits(a, n) for every n-bit a, built once per n."""
+    return tuple(_reverse_bits(a, n) for a in range(1 << n))
+
+
+@functools.cache
+def _hadamard(n: int) -> np.ndarray:
+    """The +-1 Hadamard matrix H[j, z] = (-1)^|j&z| of order 2^n: the parity
+    table of every index against every z, built once per n (read-only)."""
+    j = np.arange(1 << n)
+    h = np.where(np.bitwise_count(j[:, None] & j) & 1, -1.0, 1.0)
+    h.flags.writeable = False
+    return h
+
+
 def _pauli_action(v: GF4Vector) -> tuple[np.ndarray, np.ndarray]:
     """Rows and phases with (E @ A) == phases[:, None] * A[rows] for E = P_v.
 
     P|j> = i^|x&z| (-1)^|j&z| |j^x>, where qubit q is index bit n-1-q, as in
-    the Kronecker product of the single-qubit factors in qubit order.
+    the Kronecker product of the single-qubit factors in qubit order.  The
+    signs (-1)^|j&z| are row z of the Hadamard matrix, gathered at j = rows.
     """
-    x, z = _reverse_bits(v.x, v.n), _reverse_bits(v.z, v.n)
+    rev = _bit_reversal(v.n)
+    x, z = rev[v.x], rev[v.z]
     rows = np.arange(1 << v.n) ^ x
-    parity = (np.bitwise_count(rows & z) & 1).astype(np.int64)
-    return rows, _PHASES[((x & z).bit_count() + 2 * parity) % 4]
-
-
-def _hadamard(n: int) -> np.ndarray:
-    """The +-1 Hadamard matrix H[j, z] = (-1)^|j&z| of order 2^n."""
-    j = np.arange(1 << n)
-    return np.where(np.bitwise_count(j[:, None] & j) & 1, -1.0, 1.0)
+    return rows, _PHASES[(x & z).bit_count() % 4] * _hadamard(v.n)[z, rows]
 
 
 def _error_table(n: int, p: float) -> np.ndarray:
@@ -255,19 +275,21 @@ def classify_error_dense(p_op: DenseOperator, e: GF4Vector,
 
     Tr(E P E P) = ||P E P||_F^2 is 0 when E maps the subspace to its
     complement and K = Tr P when E preserves it; a preserved E acts as +-I
-    on the subspace exactly when |Tr(E P)| = K.
+    on the subspace exactly when |Tr(E P)| = K.  With E P = diag(phi) A for
+    the row gather A = P[rows] (`_pauli_action`), the traces are
+    Tr(E P E P) = phi^T (A o A^T) phi and Tr(E P) = phi . diag(A).
     """
     _check_cap(e.n, cap)
     rows, phases = _pauli_action(e)
-    ep = phases[:, None] * p_op[rows]
-    tr_epep = np.sum(ep * ep.T)
+    a = p_op[rows]
+    tr_epep = phases @ (a * a.T) @ phases
     if abs(tr_epep) < _CLASSIFY_TOL:
         return DETECTED
     k = np.trace(p_op).real
     if abs(tr_epep - k) >= _CLASSIFY_TOL:
         raise ValueError("error neither preserves the subspace nor maps it "
                          "to the complement; not a valid stabilizer setup")
-    if abs(abs(np.trace(ep)) - k) < _CLASSIFY_TOL:
+    if abs(abs(phases @ a.diagonal()) - k) < _CLASSIFY_TOL:
         return TRIVIAL
     return UNDETECTABLE
 
@@ -357,43 +379,103 @@ class MomentReport:
         return self.deviation <= band * self.sigma
 
 
-def _mc_matrix_mean(sample_block, target: np.ndarray, total: int,
-                    unit_var: float) -> MomentReport:
-    """Distance of the mean of `total` samples from its target, with the rms
-    distance sqrt(unit_var / total) that the claim predicts, where
-    unit_var = E ||X - target||_F^2 for one sample X.
+def _gaussian_groups(sizes: list[int], dim: int, cells: int,
+                     rng: np.random.Generator):
+    """(2, dim, N) real and imaginary parts, one column per state, of the
+    Gaussians that `_sphere_batch` calls for sizes[0], sizes[1], ... states
+    would draw.
 
-    sample_block(count) must return the SUM of `count` fresh sample matrices.
-    The samples come in at most _MOMENT_BLOCKS blocks, summed in order, so
-    memory stays at one block of states.
+    Yields (g, count) per run of `count` equal sizes, drawn in one
+    standard_normal call in the same stream order: for each chunk of c
+    states, c * dim real parts, then c * dim imaginary parts.  A run holds
+    as many chunks as keep N * max(cells, 2 dim) within _CHUNK_CELLS, and at
+    least one.
     """
+    cells = max(cells, 2 * dim)
+    i = 0
+    while i < len(sizes):
+        c, count = sizes[i], 1
+        while (i + count < len(sizes) and sizes[i + count] == c
+               and (count + 1) * c * cells <= _CHUNK_CELLS):
+            count += 1
+        g = rng.standard_normal(2 * count * c * dim).reshape(count, 2, c, dim)
+        yield g.transpose(1, 3, 0, 2).reshape(2, dim, count * c), count
+        i += count
+
+
+@functools.cache
+def _pairs(k: int) -> np.ndarray:
+    """(2, K (K - 1)/2) index rows a, b of the pairs a < b, row by row
+    (read-only)."""
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    ab = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    ab.flags.writeable = False
+    return ab
+
+
+def _hermitian_coordinates(g: np.ndarray) -> np.ndarray:
+    """(K^2, N) real coordinates of conj(u) u^T for the normalized columns
+    u of a (2, K, N) group of `_gaussian_groups`: |u_a|^2, then sqrt2 Re and
+    sqrt2 Im of conj(u_a) u_b for the pairs a < b of `_pairs`.  Then
+    vec(conj(u) u^T) = B q for the frame B of `_hermitian_frame`.
+    """
+    k = g.shape[1]
+    a, b = _pairs(k)
+    ga, gb = g[:, a], g[:, b]  # real and imaginary parts of u_a, u_b
+    q = np.empty((k * k, g.shape[2]))
+    np.sum(g * g, axis=0, out=q[:k])
+    np.sum(ga * gb, axis=0, out=q[k:k + len(a)])
+    np.subtract(ga[0] * gb[1], ga[1] * gb[0], out=q[k + len(a):])
+    q[k:] *= math.sqrt(2)
+    q /= q[:k].sum(axis=0)  # sum_a |u_a|^2 normalizes u
+    return q
+
+
+def _hermitian_frame(k: int) -> np.ndarray:
+    """The unitary (K^2, K^2) matrix B with vec(conj(u) u^T) = B q for the
+    K^2 real coordinates q of `_hermitian_coordinates` (vec row-major).
+
+    Column a < K is e_(a,a); for the p-th pair a < b, column K + p is
+    (e_(a,b) + e_(b,a))/sqrt2 and column K + P + p is
+    i (e_(a,b) - e_(b,a))/sqrt2, with P = K (K - 1)/2 pairs.
+    """
+    a, b = _pairs(k)
+    pairs = k + np.arange(len(a))
+    r = 1 / math.sqrt(2)
+    frame = np.zeros((k * k, k * k), dtype=complex)
+    frame[np.arange(k) * (k + 1), np.arange(k)] = 1
+    frame[a * k + b, pairs] = frame[b * k + a, pairs] = r
+    frame[a * k + b, pairs + len(a)] = 1j * r
+    frame[b * k + a, pairs + len(a)] = -1j * r
+    return frame
+
+
+def _moment_blocks(total: int) -> list[int]:
+    """The sizes of the at most _MOMENT_BLOCKS blocks a moment check draws
+    its states in; they fix the order in which the stream is consumed."""
     if total < 1:
         raise ValueError(f"a moment check needs at least 1 sample, not {total}")
-    full = 0.0
-    for m in _split(total, min(_MOMENT_BLOCKS, total)):
-        full = full + sample_block(m)
-    return MomentReport(float(np.linalg.norm(full / total - target)),
-                        math.sqrt(unit_var / total), total)
+    return _split(total, min(_MOMENT_BLOCKS, total))
 
 
 def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
                           rng: np.random.Generator) -> MomentReport:
     """Check that the mean outer product of uniform subspace states is P/K.
 
-    A block of states v = L u sums to L (sum u u^dag) L^dag: a K x K sum and
-    two thin maps.  The mean of these full-space block sums is compared
-    with P/K, so P stays in the check; one state lies sqrt(1 - 1/K) from
-    P/K in Frobenius norm.
+    Each run of blocks (`_gaussian_groups`) adds U U^dag for its (K, N)
+    code-space states U, and the mean L (sum u u^dag / N) L^dag is compared
+    with P/K in the full space, so P stays in the check.  One state lies
+    sqrt(1 - 1/K) from P/K in Frobenius norm.
     """
     _check_dim(p_op, dim)
-    target = p_op / dim
     basis = _range_basis(p_op)
-
-    def block(count: int) -> np.ndarray:
-        u = _sphere_batch(count, basis.shape[1], rng)
-        return basis @ (u.T @ u.conj()) @ basis.conj().T
-
-    return _mc_matrix_mean(block, target, samples, 1 - 1 / dim)
+    total = 0.0
+    for g, _ in _gaussian_groups(_moment_blocks(samples), dim, 2 * dim, rng):
+        u = (g[0] + 1j * g[1]) / np.sqrt(np.sum(g * g, axis=(0, 1)))
+        total = total + u @ u.conj().T
+    mean = basis @ (total / samples) @ basis.conj().T
+    return MomentReport(float(np.linalg.norm(mean - p_op / dim)),
+                        math.sqrt((1 - 1 / dim) / samples), samples)
 
 
 def verify_fourth_moment(dim: int, samples: int,
@@ -401,21 +483,28 @@ def verify_fourth_moment(dim: int, samples: int,
     """Check the fourth-moment identity for uniform states on a K-sphere.
 
     The mean of vv* (x) vv* must equal (I + SWAP) / (K (K + 1)); the identity
-    and swap operators span the unitarily invariant subspace.  One sample
-    lies sqrt(1 - 2/(K (K + 1))) from the target in Frobenius norm.
+    and swap operators span the unitarily invariant subspace.  Its entry
+    [(a, b), (c, d)] is the mean of H_ac H_bd for H = v v^dag, and
+    vec(H) = conj(B q) for the real coordinates q of `_hermitian_coordinates`:
+    each run of blocks adds Q Q^T, K^4 real multiply-adds a state.  One
+    sample lies sqrt(1 - 2/(K (K + 1))) from the target in Frobenius norm.
     """
+    blocks = _moment_blocks(samples)
     swap = np.zeros((dim * dim, dim * dim))
     for i in range(dim):
         for j in range(dim):
             swap[i * dim + j, j * dim + i] = 1
     target = (np.eye(dim * dim) + swap) / (dim * (dim + 1))
-
-    def block(count: int) -> np.ndarray:
-        v = _sphere_batch(count, dim, rng)
-        u = np.einsum("ni,nj->nij", v, v).reshape(count, dim * dim)
-        return u.T @ u.conj()
-
-    return _mc_matrix_mean(block, target, samples, 1 - 2 / (dim * (dim + 1)))
+    total = 0.0
+    for g, _ in _gaussian_groups(blocks, dim, dim * dim, rng):
+        q = _hermitian_coordinates(g)
+        total = total + q @ q.T
+    frame = _hermitian_frame(dim).conj()
+    x = (frame @ (total / samples) @ frame.T).reshape((dim,) * 4)
+    mean = x.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    return MomentReport(float(np.linalg.norm(mean - target)),
+                        math.sqrt((1 - 2 / (dim * (dim + 1))) / samples),
+                        samples)
 
 
 def deviation_curve(kind: str, dim: int, sizes, replicates: int,
@@ -470,8 +559,11 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     otherwise.  The identity error term is identically zero (P v = v on the
     subspace) and is skipped, so p = 0 gives exactly 0, as does n = 0, where
     no other error exists.  Each shard draws its states in chunks of
-    `_CHUNK`; when the error sum is sampled, a chunk's block of states is
-    followed by a block of one error per state.
+    `_CHUNK`.  When the error sum is sampled, a chunk's block of states is
+    followed by a block of one error per state.  When it is exact, runs of
+    chunks are drawn at once (`_gaussian_groups`), and a state costs one
+    real K^2 x K^2 product on its real coordinates.  Chunk sums enter the
+    mean and variance in chunk order.
     """
     _check_p(p)
     if samples < 1 or shards < 1:
@@ -490,29 +582,55 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         # In code-space coordinates v = L u: v^dag M v = u^dag (L^dag M L) u,
         # and sum_E Pr(E) |<v, E v>|^2 = y^T G conj(y) with y = conj(u) (x) u
         # and G = sum_E Pr(E) vec(M_E) vec(M_E)^dag for M_E = L^dag E L.
+        # With y = B q for the real coordinates q, a state's value is
+        # c . q - q^T S q for c = Re(B^T vec(L^dag T L)), S = Re(B^T G conj(B)).
         m_code, g_op = _code_space_forms(basis, _error_table(n, p), h)
+        frame = _hermitian_frame(k)
+        c_vec = (frame.T @ m_code.ravel()).real
+        s_mat = (frame.T @ g_op @ frame.conj()).real
+
+    def chunk_values(m: int, rng: np.random.Generator):
+        """The values of a shard's m states, one array per chunk."""
+        if not exact_errors:
+            for done in range(0, m, _CHUNK):
+                v = _uniform_batch(basis, min(_CHUNK, m - done), rng)
+                yield _sampled_values(basis, h, v,
+                                      *_sample_errors(n, p, rng, len(v)))
+            return
+        sizes = [min(_CHUNK, m - done) for done in range(0, m, _CHUNK)]
+        for g, count in _gaussian_groups(sizes, k, k * k, rng):
+            q = _hermitian_coordinates(g)
+            yield from (c_vec @ q - np.sum(q * (s_mat @ q), axis=0)
+                        ).reshape(count, -1)
 
     n_sum = sq_sum = 0.0
-    count = 0
     for shard, m in enumerate(_split(samples, shards)):
-        rng = _shard_rng(seed, shard)
-        for done in range(0, m, _CHUNK):
-            if exact_errors:
-                u = _sphere_batch(min(_CHUNK, m - done), k, rng)
-                y = (u.conj()[:, :, None] * u[:, None, :]).reshape(len(u), -1)
-                vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
-                        - np.sum((y @ g_op) * y.conj(), axis=1).real)
-            else:
-                v = _uniform_batch(basis, min(_CHUNK, m - done), rng)
-                vals = _sampled_values(basis, h, v,
-                                       *_sample_errors(n, p, rng, len(v)))
+        for vals in chunk_values(m, _shard_rng(seed, shard)):
             n_sum += float(np.sum(vals))
             sq_sum += float(np.sum(vals * vals))
-        count += m
 
-    mean = n_sum / count
-    var = max(sq_sum - count * mean * mean, 0.0) / (count - 1) if count > 1 else 0.0
-    return MCEstimate(mean, math.sqrt(var / count), count, seed, shards, p)
+    mean = n_sum / samples
+    var = (max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
+           if samples > 1 else 0.0)
+    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, shards, p)
+
+
+def _code_space_shifts(basis: np.ndarray, hadamard: np.ndarray):
+    """Yield (xs, m) for runs of shifts xs: row (i, z) of the
+    (len(xs) 2^n, K^2) table m is vec(L^dag E(xs[i], z) L) up to the error's
+    phase i^|x&z|.
+
+    L^dag E(x, z) L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]:
+    a gather over s and one Hadamard transform per shift.  A run holds as
+    many shifts as keep its table within _CHUNK_CELLS, and at least one.
+    """
+    d, k = basis.shape
+    step = max(_CHUNK_CELLS // (2 * d * k * k), 1)
+    j = np.arange(d)
+    for lo in range(0, d, step):
+        xs = j[lo:lo + step]
+        f = basis.conj()[xs[:, None] ^ j][..., None] * basis[:, None, :]
+        yield xs, (hadamard @ f.reshape(len(xs), d, k * k)).reshape(-1, k * k)
 
 
 def _code_space_forms(basis: np.ndarray, probs: np.ndarray,
@@ -521,19 +639,15 @@ def _code_space_forms(basis: np.ndarray, probs: np.ndarray,
     G = sum_E Pr(E) vec(M_E) vec(M_E)^dag (K^2 x K^2), where M_E = L^dag E L
     are the code-space errors under the error table Pr(x, z).
 
-    L^dag E(x, z) L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b],
-    and the phase cancels in G.  One shift x at a time, a gather over s and
-    one Hadamard transform give M_E for every z, so memory stays
-    O(2^n K^2 + K^4).  As P = L L^dag, L^dag T L = sum_E Pr(E) M_E^dag M_E,
-    the partial trace of G over its first factor.
+    The phase of M_E cancels in G, which is summed one run of shifts of
+    `_code_space_shifts` at a time, so memory stays O(2^n K^2 + K^4).  As
+    P = L L^dag, L^dag T L = sum_E Pr(E) M_E^dag M_E, the partial trace of G
+    over its first factor.
     """
-    j = np.arange(len(basis))
     k = basis.shape[1]
     g = np.zeros((k * k, k * k), dtype=complex)
-    for x in j:
-        f = basis.conj()[j ^ x][:, :, None] * basis[:, None, :]
-        m = hadamard @ f.reshape(len(j), k * k)
-        g += m.T @ (probs[x][:, None] * m.conj())
+    for xs, m in _code_space_shifts(basis, hadamard):
+        g += m.T @ (probs[xs].reshape(-1, 1) * m.conj())
     return np.einsum("cbca->ab", g.reshape(k, k, k, k)), g
 
 
@@ -564,8 +678,8 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
     Sums Pr(E) ||(I - bb*)(P x I)(E x I) b||^2 over all errors for the
     completely entangled state b = vec(L)/sqrt(K) between the subspace and a
     K-dimensional reference system.  For M_E = L^dag E L the terms are
-    ||M_E||_F^2/K - |Tr M_E|^2/K^2, so the sum is
-    Tr(G)/K - vec(I)^dag G vec(I)/K^2.  Needs 4^n K^2 <= 2^16.
+    ||M_E||_F^2/K - |Tr M_E|^2/K^2, read off the tables of
+    `_code_space_shifts` without forming G.  Needs 4^n K^2 <= 2^16.
     """
     _check_p(p)
     n = (p_op.shape[0] - 1).bit_length()
@@ -575,7 +689,10 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
     if not _code_space_fits(n, dim):
         raise ValueError(f"n={n} with K={dim} exceeds the exact code-space "
                          f"rule 4^n K^2 <= 2^16")
-    g = _code_space_forms(_range_basis(p_op), _error_table(n, p),
-                          _hadamard(n))[1]
-    on_eye = g[::dim + 1, ::dim + 1]  # the rows and columns where vec(I) is 1
-    return float(np.trace(g).real / dim - np.sum(on_eye).real / (dim * dim))
+    probs, eye = _error_table(n, p), np.eye(dim).ravel()
+    norms = traces = 0.0
+    for xs, m in _code_space_shifts(_range_basis(p_op), _hadamard(n)):
+        pr = probs[xs].ravel()
+        norms += np.vdot(m, pr[:, None] * m).real  # sum Pr ||M_E||_F^2
+        traces += pr @ np.abs(m @ eye) ** 2       # sum Pr |Tr M_E|^2
+    return float(norms / dim - traces / (dim * dim))

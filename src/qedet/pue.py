@@ -35,13 +35,10 @@ import numpy as np
 
 from .gf4 import ENUMERATION_CAP, AdditiveCode, dual
 from .enumerators import EnumeratorPair, _span
-from .oracle import _check_p
+from .oracle import _CHUNK_CELLS, _check_p
 
 MODES = ("stabilizer", "nonstabilizer", "composite", "moments")
 
-# Terms per evaluated chunk of grid rows: 2^13 float64 cells keep every
-# temporary at 64 KiB, under glibc's 128 KiB mmap threshold.
-_CHUNK_CELLS = 1 << 13
 # Powers of a mantissa in [1/2, 1) stay normal up to this exponent, and
 # coefficients below 2^_MAX_BITS times factors in (0, 1] cannot overflow.
 _MAX_POW = 1000

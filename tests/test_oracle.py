@@ -17,10 +17,12 @@ from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
                        label_to_vector, trace_inner)
-from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, MomentReport,
-                          _code_space_forms, _error_table, _hadamard,
+from qedet.oracle import (_CHUNK, _CHUNK_CELLS, _MOMENT_BLOCKS, DETECTED,
+                          TRIVIAL, UNDETECTABLE, MomentReport,
+                          _code_space_forms, _error_table, _gaussian_groups,
+                          _hadamard, _hermitian_coordinates, _hermitian_frame,
                           _range_basis, _reverse_bits, _sample_errors,
-                          _sampled_values, _shard_rng, _uniform_batch,
+                          _sampled_values, _shard_rng, _split, _uniform_batch,
                           classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
@@ -29,7 +31,8 @@ from qedet.oracle import (DETECTED, TRIVIAL, UNDETECTABLE, MomentReport,
 from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
 
 from oracle_reference import (code_space_errors, composite_loop,
-                              enumerators_loop, mc_matrix_mean_list,
+                              enumerators_loop, fourth_moment_blocks,
+                              mean_projector_blocks, nonstab_mc_exact_chunks,
                               nonstab_mc_exact_loop, sampled_values_dense,
                               twirl)
 from test_gf4 import _random_code, self_orthogonal_codes
@@ -509,20 +512,18 @@ def test_within_is_deterministic_without_sampling_spread():
 @pytest.mark.parametrize("code", [get_code("bell"), get_code("c422"),
                                   get_code("five13"), _random_code(6, 4, random.Random(4))],
                          ids=["bell", "c422", "five13", "random-n6-r4"])
-def test_mean_projector_block_equals_dense_outer_products(code, monkeypatch):
-    # The library forms a block sum as L (sum u u^dag) L^dag; the reference
-    # takes the same states in full space, v = L u, and sums v v^dag.
+def test_mean_projector_block_equals_dense_outer_products(code):
+    # The library sums u u^dag in K code-space coordinates and maps the
+    # mean through L; the reference takes the same states in full space,
+    # v = L u, block by block, and sums v v^dag.
     p_op = code_projector(code)
-    blocks = []
-
-    def first_block(sample_block, target, total, unit_var):
-        blocks.append(sample_block(total))
-        return None
-
-    monkeypatch.setattr(oracle, "_mc_matrix_mean", first_block)
-    verify_mean_projector(p_op, code.dim, 200, _rng(15))
-    w = _uniform_batch(_range_basis(p_op), 200, _rng(15))
-    assert np.max(np.abs(blocks[0] - w.T @ w.conj())) < 1e-12
+    report = verify_mean_projector(p_op, code.dim, 200, _rng(15))
+    rng, basis, acc = _rng(15), _range_basis(p_op), 0.0
+    for m in _split(200, _MOMENT_BLOCKS):
+        w = _uniform_batch(basis, m, rng)
+        acc = acc + w.T @ w.conj()
+    want = np.linalg.norm(acc / 200 - p_op / code.dim)
+    assert report.deviation == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_fourth_moment_within_band():
@@ -545,27 +546,111 @@ def test_moment_checks_need_one_sample():
     assert verify_fourth_moment(2, 1, _rng(12)).sigma > 0
 
 
-@pytest.mark.parametrize("total", (2, 3, 99, 100, 101, 150, 1234, 20000))
-def test_streaming_jackknife_equals_block_list(total, monkeypatch):
-    # The library sums its blocks as they come; the reference keeps them
-    # all and sums the stack.  c422 and five13 (K = 4, 2), and K = 1, where
-    # every block equals its target; totals not divisible by the block count
-    # give unequal blocks.
-    for name in ("c422", "five13", "bell"):
-        code = get_code(name)
-        p_op = code_projector(code)
-        for check in (partial(verify_mean_projector, p_op, code.dim),
-                      partial(verify_fourth_moment, code.dim)):
-            streamed = check(total, _rng(total))
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_mc_matrix_mean", mc_matrix_mean_list)
-                listed = check(total, _rng(total))
-            assert streamed == listed
+def _generic_projector(n: int, k: int, seed: int) -> np.ndarray:
+    """Projector onto a random k-dimensional complex subspace of C^(2^n);
+    unlike a stabilizer code's, its code-space forms are complex."""
+    rng = _rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((1 << n, k))
+                        + 1j * rng.standard_normal((1 << n, k)))
+    return q @ q.conj().T
+
+
+# Projectors with their rank K in {1, 2, 3, 4, 8, 16}, all inside the
+# exact-branch rule 4^n K^2 <= 2^16.
+DIFFERENTIAL = {
+    "bell": (code_projector(get_code("bell")), 1),
+    "trivial-n1": (code_projector(get_code("trivial-n1")), 2),
+    "five13": (code_projector(get_code("five13")), 2),
+    "c422": (code_projector(get_code("c422")), 4),
+    "random-n5-r3": (code_projector(_random_code(5, 3, random.Random(3))), 4),
+    "random-n5-r2": (code_projector(_random_code(5, 2, random.Random(5))), 8),
+    "random-n4-r0": (code_projector(_random_code(4, 0, random.Random(0))), 16),
+    "generic-n3-k3": (_generic_projector(3, 3, 21), 3),
+}
+TOTALS = (1, 2, 255, 256, 257, 511, 513, 2047, 2049, 20000)
+
+
+def _affordable(k: int, total: int) -> bool:
+    # The complex-coordinate references cost K^4 per state; 20000 states
+    # at K >= 8 would take seconds.
+    return k <= 4 or total < 20000
+
+
+def _same_report(got: MomentReport, want: MomentReport) -> None:
+    """Deviations within 1e-12 relative (1e-14 absolute where the target is
+    met exactly, as for K = 1), the same sigma and the same verdict."""
+    assert got.deviation == pytest.approx(want.deviation, rel=1e-12, abs=1e-14)
+    assert (got.sigma, got.samples) == (want.sigma, want.samples)
+    assert got.within(4.0) == want.within(4.0)
+
+
+@pytest.mark.parametrize("total", sorted({2, 3, 99, 100, 101, 150, 1234,
+                                           20000, *TOTALS}))
+def test_streaming_jackknife_equals_block_list(total):
+    # The library draws runs of blocks at once, column by column, and sums
+    # the runs; the references draw and sum block by block, row by row.
+    # verify_mean_projector then verify_fourth_moment run on one generator,
+    # as in the verify battery, which must end in the references' state.
+    # Totals not divisible by the block count give unequal blocks.
+    for p_op, k in DIFFERENTIAL.values():
+        if not _affordable(k, total):
+            continue
+        got_rng, want_rng = _rng(total), _rng(total)
+        _same_report(verify_mean_projector(p_op, k, total, got_rng),
+                     mean_projector_blocks(p_op, k, total, want_rng))
+        _same_report(verify_fourth_moment(k, total, got_rng),
+                     fourth_moment_blocks(k, total, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
+def test_gaussian_groups_follow_the_block_stream(dim):
+    # Runs of chunks come from one standard_normal call each, in the stream
+    # order of separate (c, K) real and (c, K) imaginary draws per chunk,
+    # and every run is as long as its equal sizes and the cell budget allow.
+    for total in TOTALS:
+        chunks = [min(_CHUNK, total - d) for d in range(0, total, _CHUNK)]
+        for sizes in (chunks, _split(total, min(_MOMENT_BLOCKS, total))):
+            for width in (1, dim * dim):
+                got_rng, want_rng = _rng(total), _rng(total)
+                groups = list(_gaussian_groups(sizes, dim, width, got_rng))
+                cells = max(width, 2 * dim)  # the draw holds 2 dim per state
+                i = 0
+                for g, count in groups:
+                    run = sizes[i:i + count]
+                    assert set(run) == {run[0]}
+                    assert g.shape == (2, dim, sum(run))
+                    assert count == 1 or sum(run) * cells <= _CHUNK_CELLS
+                    i += count
+                    assert (i == len(sizes) or sizes[i] != run[0]
+                            or (sum(run) + run[0]) * cells > _CHUNK_CELLS)
+                assert i == len(sizes)
+                want = [[want_rng.standard_normal((c, dim)).T
+                         for _ in range(2)] for c in sizes]
+                assert np.array_equal(np.concatenate([g for g, _ in groups], 2),
+                                      np.concatenate(want, axis=2))
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
+def test_hermitian_coordinates_give_the_outer_products(dim):
+    # vec(conj(u) u^T) = B q for the unitary frame B; a missing sqrt2 or a
+    # wrong pair order breaks either identity.
+    frame = _hermitian_frame(dim)
+    assert np.max(np.abs(frame.conj().T @ frame - np.eye(dim * dim))) < 1e-15
+    g = _rng(dim).standard_normal((2, dim, 300))
+    u = g[0] + 1j * g[1]
+    u /= np.linalg.norm(u, axis=0)
+    outer = (u.conj()[:, None] * u).reshape(dim * dim, -1)
+    assert np.max(np.abs(frame @ _hermitian_coordinates(g) - outer)) < 1e-15
 
 
 def _traced_peak(fn, *args) -> int:
     """Peak bytes allocated while fn(*args) runs; numpy reports its buffers
-    to tracemalloc."""
+    to tracemalloc.  One untraced call first leaves out what only a first
+    call in the process allocates (numpy's lazily imported modules, the
+    per-n index tables)."""
+    fn(*args)
     tracemalloc.start()
     try:
         fn(*args)
@@ -758,6 +843,49 @@ def test_pue_nonstab_mc_exact_branch_generic_projector():
     assert want > 0
     assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
     assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_exact_branch_equals_chunk_reference(name):
+    # Runs of chunks in real coordinates against the chunk-by-chunk
+    # complex form.  The stderr sqrt((mean square - mean^2) / (N - 1) / N)
+    # loses (mean / spread)^2 in relative precision, and is rounding noise
+    # where every state has the same value (bell, five13, trivial-n1); so
+    # the mean and the mean square it comes from are compared.
+    def mean_square(est):
+        return est.estimate ** 2 + est.stderr ** 2 * (est.samples - 1)
+
+    p_op, k = DIFFERENTIAL[name]
+    for total in filter(partial(_affordable, k), TOTALS):
+        for shards in (1, 3):
+            got = pue_nonstab_mc(p_op, k, 0.2, total, seed=total, shards=shards)
+            want = nonstab_mc_exact_chunks(p_op, 0.2, total, seed=total,
+                                           shards=shards)
+            assert got.estimate == pytest.approx(want.estimate, rel=1e-12,
+                                                 abs=1e-15)
+            assert mean_square(got) == pytest.approx(mean_square(want),
+                                                     rel=1e-12, abs=1e-15)
+            assert (got.samples, got.shards) == (total, shards)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_exact_branch_runs_are_invisible(name, monkeypatch):
+    # A state's value does not depend on the run it is drawn in, and the
+    # chunk sums enter the totals in chunk order, so runs of chunks and
+    # one chunk per run (a width beyond the cell budget) give identical
+    # results.
+    def one_chunk_runs(sizes, dim, cells, rng):
+        return _gaussian_groups(sizes, dim, _CHUNK_CELLS + 1, rng)
+
+    p_op, k = DIFFERENTIAL[name]
+    for total in (255, 257, 2049, 20000):
+        for shards in (1, 3):
+            grouped = pue_nonstab_mc(p_op, k, 0.2, total, seed=3, shards=shards)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_gaussian_groups", one_chunk_runs)
+                single = pue_nonstab_mc(p_op, k, 0.2, total, seed=3,
+                                        shards=shards)
+            assert grouped == single
 
 
 @pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-0"],
