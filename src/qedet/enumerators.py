@@ -112,12 +112,19 @@ class EnumeratorPair:
     @cached_property
     def weight_diffs(self) -> tuple[int, ...]:
         """dual_weights - weights: the P_ue polynomial's coefficients."""
-        return tuple(bp - b for b, bp in zip(self.weights, self.dual_weights))
+        # From a list, not a generator: CPython grows a generator-built tuple
+        # by resizing, outside its per-size free list, but frees it into
+        # that list, which only a full collection empties.
+        return tuple([bp - b for b, bp in zip(self.weights, self.dual_weights)])
 
     @cached_property
     def moment_diffs(self) -> tuple[int, ...]:
-        """dual_moments - moments: the moment form's coefficients."""
-        return tuple(mp - m for m, mp in zip(self.moments, self.dual_moments))
+        """dual_moments - moments: the moment form's coefficients.
+
+        Binomial moments are linear in the counts, so this is one Taylor
+        shift of weight_diffs.
+        """
+        return binomial_moments(self.weight_diffs, self.n)
 
     def to_json_dict(self) -> dict:
         """JSON form with integers as decimal strings (they can be huge)."""

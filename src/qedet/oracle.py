@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +87,17 @@ def _code_space_fits(n: int, k: int) -> bool:
     return 4 ** n * k * k <= 1 << 16
 
 
-def _check_p(p) -> None:
-    # Integer bounds keep the test exact for Fractions without converting a
-    # float bound on every call; NaN fails both comparisons.
-    if not (0 <= p and 4 * p <= 3):
+def _check_p(p) -> tuple[int, int]:
+    """p as a/b, checked exactly on the integers: 0 <= a and 4a <= 3b."""
+    try:
+        a, b = p.as_integer_ratio()
+    except AttributeError:  # numpy integers; other types raise TypeError
+        a, b = operator.index(p), 1
+    except (ValueError, OverflowError):  # NaN and infinities
+        a, b = -1, 1
+    if not (0 <= a and 4 * a <= 3 * b):
         raise ValueError(f"depolarizing probability {p} outside [0, 3/4]")
+    return a, b
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:

@@ -20,13 +20,15 @@ underflow, as for tiny p or codes with hundreds of qubits) carry each
 term as a mantissa and an exact power of two.  A row's value is therefore
 the same in any grid, and equals the single-point evaluation.  Exact
 rationals (exact=True) come from one integer numerator: with p = a/b every
-term shares the denominator (3b)^n.  The coefficient differences are
-computed once per EnumeratorPair.
+term shares the denominator (3b)^n, and p is range-checked on a and b.
+The coefficient differences, and their nonzero terms as mantissas and
+shifts, are computed once per EnumeratorPair.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import cycle, repeat
 from typing import NamedTuple
@@ -45,10 +47,28 @@ _MAX_POW = 1000
 _MAX_BITS = 1000
 
 
-def _split(d: int) -> tuple[float, int]:
-    """d as (mantissa, shift) with d ~ mantissa * 2^shift, correctly rounded."""
-    shift = max(d.bit_length() - _MAX_BITS, 0)
-    return d / (1 << shift), shift
+class _Terms(NamedTuple):
+    """Nonzero coefficients d_i ~ mant * 2^shift (correctly rounded), i = cols."""
+
+    cols: np.ndarray
+    mant: np.ndarray
+    shift: np.ndarray
+
+
+def _terms(diffs) -> _Terms:
+    cols = [i for i, d in enumerate(diffs) if d]
+    shift = [max(diffs[i].bit_length() - _MAX_BITS, 0) for i in cols]
+    return _Terms(np.array(cols, dtype=np.intp),
+                  np.array([diffs[i] / (1 << s) for i, s in zip(cols, shift)]),
+                  np.array(shift, dtype=np.intp))
+
+
+def _pair_terms(pair: EnumeratorPair) -> tuple[_Terms, _Terms]:
+    """Both forms' terms, kept on the pair like its coefficient differences."""
+    cache = vars(pair)
+    if "_terms" not in cache:
+        cache["_terms"] = _terms(pair.weight_diffs), _terms(pair.moment_diffs)
+    return cache["_terms"]
 
 
 def _scaled_pow(base: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,41 +90,45 @@ def _scaled_pow(base: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray
             return mant, exp
 
 
-def _grid_eval(diffs, n: int, base_x: np.ndarray, base_y: np.ndarray) -> np.ndarray:
-    """sum_i diffs[i] base_y^i base_x^(n-i) for each entry of the base arrays.
+def _grid_eval(n: int, base_y: np.ndarray, forms) -> list[np.ndarray]:
+    """sum_i d_i base_y^i base_x^(n-i) over the grid, for each (terms, base_x).
 
-    The bases must lie in [0, 1].  Each row whose terms all stay in the
-    normal float range is summed as plain products; every other row goes
-    through _scaled_pow, which agrees with the plain products wherever they
-    stay normal.  The choice is made per row, so a row's value does not
-    depend on the other rows of the grid.
+    The bases must lie in [0, 1].  Each chunk of rows raises base_y once to
+    the union of the forms' exponents.  Per form, each row whose terms all
+    stay in the normal float range is summed as plain products from that
+    table; every other row goes through _scaled_pow, which agrees with the
+    plain products wherever they stay normal.  The choice is made per row,
+    so a row's value does not depend on the other rows of the grid.
     """
-    out = np.zeros(len(base_x))
-    cols = [i for i, d in enumerate(diffs) if d]
-    if not cols:
-        return out
-    i = np.array(cols)
-    split = [_split(diffs[c]) for c in cols]
-    mant_d = np.array([m for m, _ in split])
-    shift_d = np.array([s for _, s in split])
+    used = np.zeros(n + 1, dtype=bool)
+    for t, _ in forms:
+        used[t.cols] = True
+    union = np.flatnonzero(used)
+    cols = [slice(None) if len(t.cols) == len(union)
+            else np.searchsorted(union, t.cols) for t, _ in forms]
     # Every nonzero base is >= 2^(e-1), so every power down to base^n, and
     # every product of two, stays normal while n (1 - e) <= 1021.
-    min_exp = np.minimum(np.frexp(base_x)[1], np.frexp(base_y)[1])
-    plain = (n * (1 - min_exp) <= 1021) & (not shift_d.any())
-    step = max(_CHUNK_CELLS // len(cols), 1)
-    for rows, scaled in ((np.flatnonzero(plain), False),
-                         (np.flatnonzero(~plain), True)):
-        for lo in range(0, len(rows), step):
-            r = rows[lo:lo + step]
-            x, y = base_x[r, None], base_y[r, None]
-            if scaled:
-                my, ey = _scaled_pow(y, i)
-                mx, ex = _scaled_pow(x, n - i)
-                terms = np.ldexp(mant_d * my * mx, shift_d + ey + ex)
-            else:
-                terms = mant_d * y**i * x ** (n - i)
-            out[r] = terms.sum(axis=1)
-    return out
+    exp_y = np.frexp(base_y)[1]
+    plain = [(n * (1 - np.minimum(np.frexp(x)[1], exp_y)) <= 1021)
+             & (not t.shift.any()) for t, x in forms]
+    outs = [np.zeros(len(base_y)) for _ in forms]
+    step = max(_CHUNK_CELLS // max(len(union), 1), 1)
+    for lo in range(0, len(base_y), step):
+        c = slice(lo, lo + step)
+        y = base_y[c, None]
+        table = y**union
+        for (t, x), idx, ok, out in zip(forms, cols, plain, outs):
+            x, ok, out = x[c, None], ok[c], out[c]
+            if ok.all():
+                out[:] = (t.mant * table[:, idx] * x ** (n - t.cols)).sum(axis=1)
+                continue
+            r = np.flatnonzero(ok)
+            out[r] = (t.mant * table[r][:, idx] * x[r] ** (n - t.cols)).sum(axis=1)
+            r = np.flatnonzero(~ok)
+            my, ey = _scaled_pow(y[r], t.cols)
+            mx, ex = _scaled_pow(x[r], n - t.cols)
+            out[r] = np.ldexp(t.mant * my * mx, t.shift + ey + ex).sum(axis=1)
+    return outs
 
 
 def _exact_eval(diffs, n: int, x: int, y: int, denom: int) -> Fraction:
@@ -120,21 +144,22 @@ def _exact_eval(diffs, n: int, x: int, y: int, denom: int) -> Fraction:
     return Fraction(numerator, denom**n)
 
 
-def _stabilizer_column(pair: EnumeratorPair, p: np.ndarray) -> np.ndarray:
-    return _grid_eval(pair.weight_diffs, pair.n, 1 - p, p / 3)
-
-
-def _moments_column(pair: EnumeratorPair, p: np.ndarray) -> np.ndarray:
-    return _grid_eval(pair.moment_diffs, pair.n, 1 - 4 * p / 3, p / 3)
+def _columns(pair: EnumeratorPair, grid: np.ndarray, stabilizer: bool,
+             moments: bool) -> list[np.ndarray]:
+    """The polynomial's and/or the moment form's values over a float grid."""
+    stab, moment = _pair_terms(pair)
+    forms = [(stab, 1 - grid)] if stabilizer else []
+    if moments:
+        forms.append((moment, 1 - 4 * grid / 3))
+    return _grid_eval(pair.n, grid / 3, forms)
 
 
 def pue_stabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
     """Undetected-error probability of the plain detection protocol."""
-    _check_p(p)
+    a, b = _check_p(p)
     if exact:
-        a, b = Fraction(p).as_integer_ratio()
         return _exact_eval(pair.weight_diffs, pair.n, 3 * (b - a), a, 3 * b)
-    return float(_stabilizer_column(pair, np.array([float(p)]))[0])
+    return float(_columns(pair, np.array([float(p)]), True, False)[0][0])
 
 
 def pue_nonstabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
@@ -159,11 +184,10 @@ def pue_via_moments(pair: EnumeratorPair, p, *, exact: bool = False):
     From B(x, y) = M(x - y, y) the dual moments enter with positive sign:
     sum_w (dual_moments[w] - moments[w]) (p/3)^w (1 - 4p/3)^(n-w).
     """
-    _check_p(p)
+    a, b = _check_p(p)
     if exact:
-        a, b = Fraction(p).as_integer_ratio()
         return _exact_eval(pair.moment_diffs, pair.n, 3 * b - 4 * a, a, 3 * b)
-    return float(_moments_column(pair, np.array([float(p)]))[0])
+    return float(_columns(pair, np.array([float(p)]), False, True)[0][0])
 
 
 def pue_classical(counts, q: int, p, *, exact: bool = False):
@@ -180,7 +204,7 @@ def pue_classical(counts, q: int, p, *, exact: bool = False):
         a, b = Fraction(p).as_integer_ratio()
         return _exact_eval(diffs, n, (q - 1) * (b - a), a, (q - 1) * b)
     grid = np.array([float(p)])
-    return float(_grid_eval(diffs, n, 1 - grid, grid / (q - 1))[0])
+    return float(_grid_eval(n, grid / (q - 1), [(_terms(diffs), 1 - grid)])[0][0])
 
 
 def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
@@ -200,8 +224,9 @@ def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
                          f"beyond the enumeration cap {ENUMERATION_CAP}")
     if n > 31:
         raise ValueError(f"words of {n} qubits do not fit int64 keys")
-    words = _span_keys(ortho)
-    words = words[~np.isin(words, _span_keys(code))]
+    words, inside = _span_keys(ortho), np.sort(_span_keys(code))
+    at = np.minimum(np.searchsorted(inside, words), len(inside) - 1)
+    words = words[inside[at] != words]
     weights = np.bitwise_count((words & ((1 << n) - 1)) | (words >> n))
     terms = [(p / 3) ** w * (1 - p) ** (n - w) for w in range(n + 1)]
     return math.fsum(map(terms.__getitem__, weights.tolist()))
@@ -220,33 +245,69 @@ class PueResult(NamedTuple):
     value: float
 
 
-def sweep(pair: EnumeratorPair, p_grid, modes, code: str = "") -> list[PueResult]:
+def sweep(pair: EnumeratorPair, p_grid, modes,
+          code: str = "") -> Sequence[PueResult]:
     """Evaluate the requested modes on a probability grid, one row per (p, mode).
 
-    The stabilizer polynomial is evaluated once over the whole grid and
-    serves the stabilizer, nonstabilizer and composite modes; the moment
-    form is evaluated once more when requested.  Rows are built from the
-    columns by tuple.__new__, with no Python-level constructor call per row.
+    One grid evaluation serves every requested form: the polynomial gives
+    the stabilizer, nonstabilizer and composite modes, the moment form the
+    moments mode.  The result is a read-only sequence, equal to the list of
+    its rows, that keeps only the p and value columns and builds each row
+    when it is read, so a sweep holds no row objects for the collector.
     """
-    p_grid, modes = list(p_grid), list(modes)
+    p_grid, modes = list(p_grid), tuple(modes)
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-    for p in p_grid:
-        _check_p(p)
     grid = np.array([float(p) for p in p_grid])
+    # Only floats outside (0, 3/4) can be out of range: those on an end point
+    # may round an exact value just outside it.  The first bad one raises.
+    for i in np.flatnonzero(~((grid > 0) & (grid < 0.75))):
+        _check_p(p_grid[i])
+    poly, moments = bool(set(modes) - {"moments"}), "moments" in modes
     columns = {}
-    if set(modes) - {"moments"}:
-        stab = _stabilizer_column(pair, grid)
-        columns["stabilizer"] = columns["composite"] = stab
-        columns["nonstabilizer"] = pair.dim / (pair.dim + 1) * stab
-    if "moments" in modes:
-        columns["moments"] = _moments_column(pair, grid)
+    if modes:
+        forms = _columns(pair, grid, poly, moments)
+        if poly:
+            columns["stabilizer"] = columns["composite"] = forms[0]
+            columns["nonstabilizer"] = pair.dim / (pair.dim + 1) * forms[0]
+        if moments:
+            columns["moments"] = forms[-1]
     # One column per requested mode; read row by row, (p, mode) order.
     values = np.array([columns[mode] for mode in modes]).T.ravel().tolist()
-    ps = np.repeat(grid, len(modes)).tolist()
-    return list(map(tuple.__new__, repeat(PueResult),
-                    zip(repeat(code), cycle(modes), ps, values)))
+    return _Rows(code, modes, np.repeat(grid, len(modes)).tolist(), values)
+
+
+class _Rows(Sequence):
+    """sweep's rows over the p and value columns, each built when read."""
+
+    __slots__ = ("_code", "_modes", "_ps", "_values")
+
+    def __init__(self, code: str, modes: tuple, ps: list, values: list) -> None:
+        self._code, self._modes, self._ps, self._values = code, modes, ps, values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return PueResult(self._code, self._modes[i % len(self._modes)],
+                         self._ps[i], self._values[i])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(PueResult),
+                   zip(repeat(self._code), cycle(self._modes), self._ps,
+                       self._values))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Rows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def sweep_csv(rows) -> str:

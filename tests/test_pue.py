@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +30,8 @@ CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
 GRID = [i * 0.75 / 19 for i in range(20)]
 GRID751 = [i / 1000 for i in range(751)]
 EPS = sys.float_info.epsilon
+SINGLE_POINT = {"stabilizer": pue_stabilizer, "nonstabilizer": pue_nonstabilizer,
+                "composite": pue_composite, "moments": pue_via_moments}
 
 
 @pytest.fixture(scope="module")
@@ -289,11 +295,13 @@ def test_underflowing_powers_are_rescaled():
                                  Fraction(3, 4) + Fraction(1, 10**30)])
 def test_p_range_rejects_nan_inf_and_just_above_three_quarters(pairs, bad):
     pair = pairs["c422"]
-    with pytest.raises(ValueError):
-        pue_stabilizer(pair, bad, exact=True)
-    with pytest.raises(ValueError):
-        pue_stabilizer(pair, bad)
-    with pytest.raises(ValueError):
+    message = re.escape(f"depolarizing probability {bad} outside [0, 3/4]")
+    for evaluate in SINGLE_POINT.values():
+        with pytest.raises(ValueError, match=message):
+            evaluate(pair, bad, exact=True)
+        with pytest.raises(ValueError, match=message):
+            evaluate(pair, bad)
+    with pytest.raises(ValueError, match=message):
         sweep(pair, [0.1, bad, 0.2], MODES)
 
 
@@ -303,9 +311,23 @@ def test_p_range_accepts_three_quarters_and_negative_zero(pairs, edge):
     exact = pue_stabilizer(pair, edge, exact=True)
     assert exact == fraction_poly(stabilizer_diffs(pair), pair.n,
                                   1 - Fraction(edge), Fraction(edge) / 3)
+    assert pue_via_moments(pair, edge, exact=True) == exact
     rows = sweep(pair, [edge], ["stabilizer"])
     assert rows == [PueResult("", "stabilizer", float(edge),
                               pue_stabilizer(pair, edge))]
+
+
+def test_p_range_reads_each_kind_of_number(pairs):
+    pair = pairs["c422"]
+    for p in (0, np.int64(0), 0.5, np.float64(0.5), np.float32(0.5),
+              Decimal("0.5"), Fraction(1, 2), Fraction(3, 4)):
+        q = Fraction(str(p))
+        want = fraction_poly(stabilizer_diffs(pair), pair.n, 1 - q, q / 3)
+        assert pue_stabilizer(pair, p, exact=True) == want, repr(p)
+        assert pue_stabilizer(pair, p) == pue_stabilizer(pair, float(p)), repr(p)
+    for p in ("0.5", None, np.array(0.5)):
+        with pytest.raises(TypeError):
+            pue_stabilizer(pair, p, exact=True)
 
 
 def test_sweep_accepts_a_one_shot_grid(pairs):
@@ -317,8 +339,16 @@ def test_sweep_accepts_a_one_shot_grid(pairs):
         sweep(pairs["five13"], (p for p in [0.1, 0.9]), MODES)
 
 
-SINGLE_POINT = {"stabilizer": pue_stabilizer, "nonstabilizer": pue_nonstabilizer,
-                "composite": pue_composite, "moments": pue_via_moments}
+def test_sweep_names_the_first_bad_p(pairs):
+    with pytest.raises(ValueError, match="probability 0.9 outside"):
+        sweep(pairs["c422"], [0.1, 0.9, 1.0], MODES)
+    # A rational just below 0 rounds to the float -0.0, which is in range;
+    # it is still named before a later value whose float is out of range.
+    tiny = Fraction(-1, 10**400)
+    with pytest.raises(ValueError, match=re.escape(f"probability {tiny} outside")):
+        sweep(pairs["c422"], [0.75, tiny, 0.9], MODES)
+
+
 # p = 0, tiny p whose powers leave the normal range (the scaled rows),
 # ordinary p and p = 3/4 in one grid.
 MIXED_GRID = [0.1, 0.0, 1e-300, 0.5, 1e-5, 2e-3, 0.75, 1e-9, 0.3, 0.0, 1e-5]
@@ -365,3 +395,88 @@ def test_sweep_rows_match_per_row_construction():
     assert rows == [PueResult("g96", mode, float(p), SINGLE_POINT[mode](pair, p))
                     for p in MIXED_GRID for mode in modes]
     assert sweep(pair, MIXED_GRID, []) == []
+
+
+# --- the row sequence sweep returns ------------------------------------------
+
+def test_sweep_rows_behave_as_a_read_only_list(pairs):
+    pair = pairs["five13"]
+    rows = sweep(pair, GRID, MODES, code="five13")
+    listed = [PueResult("five13", mode, p, SINGLE_POINT[mode](pair, p))
+              for p in GRID for mode in MODES]
+    assert len(rows) == len(listed) == 80
+    assert list(rows) == list(rows) == listed  # iterates twice
+    assert rows[0] == listed[0] and rows[7] == listed[7]
+    assert rows[-1] == listed[-1] and rows[-80] == listed[0]
+    for i in (80, -81):
+        with pytest.raises(IndexError):
+            rows[i]
+    for s in (slice(3, 11), slice(None, None, -3), slice(70, 200), slice(5, 2)):
+        assert rows[s] == listed[s] and type(rows[s]) is list
+    assert all(type(row) is PueResult for row in rows)
+    assert type(rows[5]) is PueResult
+    assert rows.index(listed[9]) == 9 and listed[9] in rows
+    assert list(reversed(rows)) == listed[::-1]
+
+
+def test_sweep_rows_compare_as_lists(pairs):
+    pair = pairs["c422"]
+    rows = sweep(pair, GRID, MODES)
+    listed = list(rows)
+    assert rows == listed and listed == rows
+    assert not (rows != listed or listed != rows)
+    assert rows == sweep(pair, GRID, MODES)
+    assert rows != sweep(pair, GRID[:-1], MODES)
+    assert rows != listed[:-1] and listed[1:] != rows
+    assert rows != sweep(pair, GRID, MODES, code="other")
+    for other in (None, 3, "rows", tuple(listed), {0: listed[0]}):
+        assert rows != other and other != rows
+    with pytest.raises(TypeError):
+        hash(rows)
+
+
+def test_sweep_csv_is_unchanged_on_shaped_and_wide_pairs(shaped_pairs):
+    # The reference renders rows built one at a time from single-point values.
+    cases = [(pair, GRID751) for pair in shaped_pairs]
+    cases += [(pair, MIXED_GRID) for pair in WIDE_PAIRS.values()]
+    for pair, grid in cases:
+        code = f"n{pair.n}"
+        rows = sweep(pair, grid, MODES, code=code)
+        want = [PueResult(code, mode, float(p), SINGLE_POINT[mode](pair, p))
+                for p in grid for mode in MODES]
+        assert [rows[i] for i in range(len(rows))] == want, pair.n
+        lines = [f"{row.p!r},{row.mode},{row.value!r}\n" for row in want]
+        assert sweep_csv(rows) == "p,mode,pue\n" + "".join(lines), pair.n
+
+
+def test_sweep_holds_no_row_objects(shaped_pairs):
+    pair = shaped_pairs[-1]
+    sweep(pair, GRID751, MODES)  # builds the pair's cached coefficients
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        rows = sweep(pair, GRID751, MODES)
+        grew = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(rows) == 3004
+    assert grew < 100
+
+
+# --- the moment form's coefficients ------------------------------------------
+
+def _assert_moment_diffs_are_the_old_difference(pair):
+    assert pair.moment_diffs == tuple(moment_diffs(pair)), pair.n
+
+
+def test_moment_diffs_on_catalog_shaped_and_wide_pairs(pairs, shaped_pairs):
+    for pair in list(pairs.values()) + shaped_pairs + [WIDE_PAIRS["n600"]]:
+        _assert_moment_diffs_are_the_old_difference(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(self_orthogonal_codes())
+def test_moment_diffs_on_random_codes(code):
+    _assert_moment_diffs_are_the_old_difference(stabilizer_enumerators(code))
