@@ -28,5 +28,5 @@ for protocol, analytic_fn in (("stabilizer", pue_stabilizer),
 
 again = simulate(code, 0.1, trials=20000, seed=7)
 assert again == simulate(code, 0.1, trials=20000, seed=7)
-print("fixed seed, fixed shard count: reports are bit-for-bit identical")
+print("fixed seed: reports are bit-for-bit identical")
 print(again.to_json())

@@ -13,7 +13,7 @@ GRID = [i * 0.75 / 10 for i in range(11)]
 
 for name in CATALOG:
     pair = stabilizer_enumerators(get_code(name))
-    rows = sweep(pair, GRID, ["stabilizer"], code=name)
+    rows = sweep(pair, GRID, ["stabilizer"])
     print(f"== {name}")
     print(sweep_csv(rows))
 

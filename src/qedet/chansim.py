@@ -16,10 +16,9 @@ only, a block of uniforms u2 for the second (one per trial, used or not),
 and then decides every trial of the chunk with row-wise array operations;
 <w|P|w> is ||L^dag w||^2.
 
-Randomness comes from numpy's PCG64; shard s of a run draws from
-SeedSequence(seed, spawn_key=(s,)).  Reports are bit-for-bit reproducible
-for a fixed (seed, trials, shard count), whether or not shards are ever run
-in parallel.
+Randomness comes from numpy's PCG64; a run draws from
+SeedSequence(seed, spawn_key=(0,)) (`oracle._seeded_rng`).  Reports are
+bit-for-bit reproducible for a fixed (seed, trials).
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 
 from .gf4 import AdditiveCode
 from .oracle import (_CHUNK, DEFAULT_ORACLE_CAP, _apply_errors, _check_p,
-                     _hadamard, _range_basis, _sample_errors, _shard_rng,
-                     _split, _uniform_batch, code_projector)
+                     _hadamard, _range_basis, _sample_errors, _seeded_rng,
+                     _uniform_batch, code_projector)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -50,7 +49,6 @@ class SimReport:
     p: float
     trials: int
     seed: int
-    shards: int
     estimate: float
     stderr: float
     undetected_count: int
@@ -63,7 +61,6 @@ class SimReport:
             "p": self.p,
             "trials": self.trials,
             "seed": self.seed,
-            "shards": self.shards,
             "estimate": self.estimate,
             "stderr": self.stderr,
             "counts": {
@@ -85,15 +82,13 @@ def _born_first(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def simulate(code: AdditiveCode, p: float, trials: int,
-             protocol: str = "stabilizer", seed: int = 0, shards: int = 1,
+             protocol: str = "stabilizer", seed: int = 0,
              cap: int = DEFAULT_ORACLE_CAP) -> SimReport:
     """Run the full transmission-and-measurement protocol and count outcomes."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if shards < 1:
-        raise ValueError("shards must be positive")
     _check_p(p)
 
     p_op = code_projector(code, cap)
@@ -101,44 +96,42 @@ def simulate(code: AdditiveCode, p: float, trials: int,
     hadamard = _hadamard(code.n)
 
     undetected = detected = trivial = 0
-    for shard, m in enumerate(_split(trials, shards)):
-        rng = _shard_rng(seed, shard)
-        for done in range(0, m, _CHUNK):
-            c = min(_CHUNK, m - done)
-            v = _uniform_batch(basis, c, rng)
-            x, z = _sample_errors(code.n, p, rng, c)
-            u1 = rng.random(c)
-            u2 = rng.random(c) if protocol == "nonstabilizer" else None
-            # The global phase of E cancels in both overlaps below.
-            w = _apply_errors(hadamard, v, x, z)
+    rng = _seeded_rng(seed)
+    for done in range(0, trials, _CHUNK):
+        c = min(_CHUNK, trials - done)
+        v = _uniform_batch(basis, c, rng)
+        x, z = _sample_errors(code.n, p, rng, c)
+        u1 = rng.random(c)
+        u2 = rng.random(c) if protocol == "nonstabilizer" else None
+        # The global phase of E cancels in both overlaps below.
+        w = _apply_errors(hadamard, v, x, z)
 
-            # For a stabilizer code the first measurement never splits.
-            # <w|P|w> = ||L^dag w||^2 for the range basis L of P.
-            prob_code = np.sum(np.abs(w @ basis.conj()) ** 2, axis=1)
-            mixed = np.flatnonzero(np.minimum(prob_code, 1 - prob_code)
-                                   > _BORN_TOL)
-            if len(mixed):
-                raise ValueError(
-                    f"first measurement is not deterministic "
-                    f"(probability {prob_code[mixed[0]]}); "
-                    f"not a stabilizer setup")
+        # For a stabilizer code the first measurement never splits.
+        # <w|P|w> = ||L^dag w||^2 for the range basis L of P.
+        prob_code = np.sum(np.abs(w @ basis.conj()) ** 2, axis=1)
+        mixed = np.flatnonzero(np.minimum(prob_code, 1 - prob_code) > _BORN_TOL)
+        if len(mixed):
+            raise ValueError(
+                f"first measurement is not deterministic "
+                f"(probability {prob_code[mixed[0]]}); "
+                f"not a stabilizer setup")
 
-            # The Born draw against (P, I - P), from <w|P|w>.
-            kept = _born_first(prob_code, u1)
-            detected += c - int(np.count_nonzero(kept))
-            # |<v, post>|^2 for post = Pw / sqrt(<w|P|w>).
-            overlap = (np.abs(np.sum(v[kept].conj() * w[kept], axis=1)) ** 2
-                       / prob_code[kept])
-            if protocol == "stabilizer":
-                same = overlap > _COLLINEAR
-            else:
-                # The Born draw of post against (vv*, P - vv*).
-                same = _born_first(overlap, u2[kept])
-            hits = int(np.count_nonzero(same))
-            trivial += hits
-            undetected += len(same) - hits
+        # The Born draw against (P, I - P), from <w|P|w>.
+        kept = _born_first(prob_code, u1)
+        detected += c - int(np.count_nonzero(kept))
+        # |<v, post>|^2 for post = Pw / sqrt(<w|P|w>).
+        overlap = (np.abs(np.sum(v[kept].conj() * w[kept], axis=1)) ** 2
+                   / prob_code[kept])
+        if protocol == "stabilizer":
+            same = overlap > _COLLINEAR
+        else:
+            # The Born draw of post against (vv*, P - vv*).
+            same = _born_first(overlap, u2[kept])
+        hits = int(np.count_nonzero(same))
+        trivial += hits
+        undetected += len(same) - hits
 
     estimate = undetected / trials
     stderr = math.sqrt(estimate * (1 - estimate) / trials)
-    return SimReport(protocol, p, trials, seed, shards, estimate, stderr,
+    return SimReport(protocol, p, trials, seed, estimate, stderr,
                      undetected, detected, trivial)

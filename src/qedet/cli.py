@@ -1,15 +1,16 @@
 """Command-line front end.
 
     qed enum <code> [--json]
-    qed pue <code> (--p P | --sweep a:b:step) [--mode s|n|c] [--csv]
-    qed verify <code> [--max-n N] [--tol T] [--samples N] [--seed S]
+    qed pue <code> (--p P | --sweep a:b:step) [--mode s|n|c]
+    qed verify <code> [--samples N] [--seed S]
     qed simulate <code> --p P [--trials N] [--seed S] [--protocol ...]
 
 <code> is a catalog name (see qedet.catalog) or a path to a code file.
 Exit codes: 0 success, 1 validation or check failure, 2 input error.
 All stdout output is CSV or JSON; diagnostics go to stderr.
-The environment variable QED_ORACLE_CAP overrides the default dense-oracle
-cap of 6 qubits.
+The environment variable QED_ORACLE_CAP, an integer >= 0, sets the
+dense-oracle cap of `verify` and `simulate` (default 6 qubits); any other
+value is an input error.
 """
 
 from __future__ import annotations
@@ -33,12 +34,21 @@ from .gf4 import (AdditiveCode, CodeFormatError, GF4Vector, all_vectors, dual,
 
 _MODE_NAMES = {"s": "stabilizer", "n": "nonstabilizer", "c": "composite"}
 _MAX_SWEEP_POINTS = 10**6
+# Relative error allowed between two float forms of P_ue in `qed verify`.
+_REL_TOL = 1e-10
 
 
-def _oracle_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("QED_ORACLE_CAP", oracle.DEFAULT_ORACLE_CAP))
+def _oracle_cap() -> int:
+    """The dense-oracle cap from QED_ORACLE_CAP, or the default when unset."""
+    text = os.environ.get("QED_ORACLE_CAP", str(oracle.DEFAULT_ORACLE_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise CodeFormatError(
+            f"QED_ORACLE_CAP must be an integer >= 0, not {text!r}")
+    return cap
 
 
 def _int_at_least(low: int):
@@ -50,15 +60,6 @@ def _int_at_least(low: int):
         return value
     parse.__name__ = "int"  # argparse names it in "invalid int value"
     return parse
-
-
-def _tolerance(text: str) -> float:
-    """argparse type: a finite, non-negative float."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite tolerance >= 0")
-    return value
-_tolerance.__name__ = "float"
 
 
 def _load_code(ref: str) -> AdditiveCode:
@@ -117,7 +118,7 @@ def cmd_pue(args) -> int:
     pair = stabilizer_enumerators(code)
     grid = _parse_sweep(args.sweep) if args.sweep else [args.p]
     mode = _MODE_NAMES[args.mode]
-    rows = pue.sweep(pair, grid, [mode], code=args.code)
+    rows = pue.sweep(pair, grid, [mode])
     sys.stdout.write(pue.sweep_csv(rows))
     return 0
 
@@ -125,8 +126,7 @@ def cmd_pue(args) -> int:
 def cmd_simulate(args) -> int:
     code = _load_code(args.code)
     report = chansim.simulate(code, args.p, args.trials, protocol=args.protocol,
-                              seed=args.seed, shards=args.shards,
-                              cap=_oracle_cap())
+                              seed=args.seed, cap=_oracle_cap())
     print(report.to_json())
     closed_form = (pue.pue_nonstabilizer if args.protocol == "nonstabilizer"
                    else pue.pue_stabilizer)
@@ -141,8 +141,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_checks(code: AdditiveCode, cap: int, tol: float, samples: int,
-                   seed: int):
+def _verify_checks(code: AdditiveCode, cap: int, samples: int, seed: int):
     """Yield (name, status, detail) rows for the verification battery."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     grid = [i * 0.75 / 19 for i in range(20)]
@@ -169,12 +168,12 @@ def _verify_checks(code: AdditiveCode, cap: int, tol: float, samples: int,
 
     worst = max(rel_err(pue.pue_stabilizer_direct(code, p),
                         pue.pue_stabilizer(pair, p)) for p in grid)
-    yield ("coset_sum_vs_polynomial", worst <= max(tol, 1e-12),
+    yield ("coset_sum_vs_polynomial", worst <= _REL_TOL,
            f"rel_err={worst:.2e}")
 
     worst = max(rel_err(pue.pue_via_moments(pair, p),
                         pue.pue_stabilizer(pair, p)) for p in grid)
-    yield ("moments_form", worst <= max(tol, 1e-12), f"rel_err={worst:.2e}")
+    yield ("moments_form", worst <= _REL_TOL, f"rel_err={worst:.2e}")
 
     p_op = oracle.code_projector(code, cap)
     yield ("projector_valid", True, f"trace={np.trace(p_op).real:.6g}")
@@ -227,17 +226,16 @@ def _verify_checks(code: AdditiveCode, cap: int, tol: float, samples: int,
 
 def cmd_verify(args) -> int:
     code = _load_code(args.code)
-    cap = _oracle_cap(args.max_n)
+    cap = _oracle_cap()
     if code.n > cap:
         print(f"error: code length n={code.n} exceeds the oracle cap of "
-              f"{cap} qubits (raise with --max-n or QED_ORACLE_CAP)",
-              file=sys.stderr)
+              f"{cap} qubits (raise with QED_ORACLE_CAP)", file=sys.stderr)
         return 1
     print("check,status,detail")
     failed = 0
     start = time.perf_counter()
-    for name, status, detail in _verify_checks(code, cap, args.tol,
-                                               args.samples, args.seed):
+    for name, status, detail in _verify_checks(code, cap, args.samples,
+                                               args.seed):
         # Each check is computed when the generator is resumed for it.
         elapsed = time.perf_counter() - start
         word = "SKIP" if status is None else ("PASS" if status else "FAIL")
@@ -266,14 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--p", type=float)
     group.add_argument("--sweep", metavar="a:b:step")
     p_pue.add_argument("--mode", choices=sorted(_MODE_NAMES), default="s")
-    p_pue.add_argument("--csv", action="store_true",
-                       help="CSV output (the default; kept for explicitness)")
     p_pue.set_defaults(func=cmd_pue)
 
     p_ver = sub.add_parser("verify", help="cross-check against the dense oracle")
     p_ver.add_argument("code")
-    p_ver.add_argument("--max-n", type=int, default=None)
-    p_ver.add_argument("--tol", type=_tolerance, default=1e-10)
     # Every check needs one sample; the moment checks' bands are analytic.
     p_ver.add_argument("--samples", type=_int_at_least(1), default=20000)
     p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -282,9 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol simulation")
     p_sim.add_argument("code")
     p_sim.add_argument("--p", type=float, required=True)
-    p_sim.add_argument("--trials", type=int, default=100000)
+    p_sim.add_argument("--trials", type=_int_at_least(1), default=100000)
     p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_sim.add_argument("--shards", type=int, default=1)
     p_sim.add_argument("--protocol", choices=chansim.PROTOCOLS,
                        default="stabilizer")
     p_sim.set_defaults(func=cmd_simulate)

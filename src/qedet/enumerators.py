@@ -52,7 +52,7 @@ def _span(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def hamming_weights(code: AdditiveCode, cap: int = ENUMERATION_CAP) -> WeightDistribution:
+def hamming_weights(code: AdditiveCode) -> WeightDistribution:
     """Weight distribution of a code by direct enumeration.
 
     Each word is a row of lane keys x | z << 32 over 32 positions at a
@@ -62,9 +62,9 @@ def hamming_weights(code: AdditiveCode, cap: int = ENUMERATION_CAP) -> WeightDis
     code is that block XORed with each combination of the remaining
     generators, counted one block at a time.
     """
-    if code.size > cap:
+    if code.size > ENUMERATION_CAP:
         raise ValueError(f"code has {code.size} elements, "
-                         f"beyond the enumeration cap {cap}")
+                         f"beyond the enumeration cap {ENUMERATION_CAP}")
     lanes = range(0, code.n, _LANE)
     gens = np.array([[(g.x >> s & _LANE_MASK) | (g.z >> s & _LANE_MASK) << _LANE
                       for s in lanes] for g in code.generators],
@@ -141,15 +141,15 @@ class EnumeratorPair:
         }
 
 
-def stabilizer_enumerators(code: AdditiveCode, cap: int = ENUMERATION_CAP) -> EnumeratorPair:
+def stabilizer_enumerators(code: AdditiveCode) -> EnumeratorPair:
     """Enumerator pair of a self-orthogonal code.
 
-    The code itself is enumerated (it must fit under the cap); the dual
+    The code itself is enumerated (it must fit under ENUMERATION_CAP); the dual
     distribution always follows from it by the MacWilliams transform.
     """
     if not code.is_self_orthogonal:
         raise ValueError("code is not self-orthogonal")
-    weights = hamming_weights(code, cap).counts
+    weights = hamming_weights(code).counts
     dual_weights = macwilliams(weights, code.n, code.dim, "code_to_dual")
     return EnumeratorPair(code.n, code.dim, weights, dual_weights)
 

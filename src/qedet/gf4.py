@@ -230,11 +230,11 @@ class AdditiveCode:
             raise ValueError("length mismatch")
         return _reduce_row(_sym_row(v), self._canonical) == 0
 
-    def codewords(self, cap: int = ENUMERATION_CAP) -> Iterator[GF4Vector]:
+    def codewords(self) -> Iterator[GF4Vector]:
         """Yield all 2^r codewords once, in Gray-code order."""
-        if self.size > cap:
+        if self.size > ENUMERATION_CAP:
             raise ValueError(f"code has {self.size} elements, "
-                             f"beyond the enumeration cap {cap}")
+                             f"beyond the enumeration cap {ENUMERATION_CAP}")
         x = z = 0
         yield GF4Vector(self.n, 0, 0)
         for i in range(1, self.size):

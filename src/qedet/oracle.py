@@ -32,11 +32,11 @@ the states coordinate-major (K x N).  The exact branch and the fourth
 moment work on the K^2 real coordinates of conj(u) u^T: K^4 real
 multiply-adds a state.
 
-Sharded Monte Carlo estimators draw shard s from
-numpy's PCG64 seeded with SeedSequence(seed, spawn_key=(s,)), so results
-are reproducible for a fixed (seed, shard count).  `pue_nonstab_mc` draws
-in chunks of `_CHUNK`: a block of states, then (when the error sum is
-sampled) a block of errors; chunk sums enter the estimate in chunk order.
+Monte Carlo estimators draw from numpy's PCG64 seeded with
+SeedSequence(seed, spawn_key=(0,)) (`_seeded_rng`), so results are
+reproducible for a fixed seed.  `pue_nonstab_mc` draws in chunks of
+`_CHUNK`: a block of states, then (when the error sum is sampled) a block
+of errors; chunk sums enter the estimate in chunk order.
 """
 
 from __future__ import annotations
@@ -100,14 +100,16 @@ def _check_p(p) -> tuple[int, int]:
     return a, b
 
 
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of a seeded estimate; spawn key (0,) keeps the stream
+    of the first shard of earlier, sharded releases."""
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=(shard,))))
+        np.random.SeedSequence(seed, spawn_key=(0,))))
 
 
-def _split(total: int, shards: int) -> list[int]:
-    base, extra = divmod(total, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
+def _split(total: int, parts: int) -> list[int]:
+    base, extra = divmod(total, parts)
+    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 def _reverse_bits(a: int, n: int) -> int:
@@ -544,19 +546,17 @@ def deviation_curve(kind: str, dim: int, sizes, replicates: int,
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo estimate with its standard error and shard layout."""
+    """Monte Carlo estimate with its standard error and its inputs."""
 
     estimate: float
     stderr: float
     samples: int
     seed: int
-    shards: int
     p: float
 
 
 def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
-                   seed: int = 0, shards: int = 1,
-                   cap: int = DEFAULT_ORACLE_CAP) -> MCEstimate:
+                   seed: int = 0, cap: int = DEFAULT_ORACLE_CAP) -> MCEstimate:
     """Monte Carlo of the subspace-uniform undetected-error functional.
 
     Averages sum_E Pr(E) ||(I - vv*) P E v||^2 over uniform subspace states.
@@ -565,22 +565,22 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     and n = 5, 6, 7, 8 with K <= 8, 4, 2, 1), and sampled from the channel
     otherwise.  The identity error term is identically zero (P v = v on the
     subspace) and is skipped, so p = 0 gives exactly 0, as does n = 0, where
-    no other error exists.  Each shard draws its states in chunks of
-    `_CHUNK`.  When the error sum is sampled, a chunk's block of states is
-    followed by a block of one error per state.  When it is exact, runs of
-    chunks are drawn at once (`_gaussian_groups`), and a state costs one
-    real K^2 x K^2 product on its real coordinates.  Chunk sums enter the
-    mean and variance in chunk order.
+    no other error exists.  States are drawn in chunks of `_CHUNK`.  When
+    the error sum is sampled, a chunk's block of states is followed by a
+    block of one error per state.  When it is exact, runs of chunks are
+    drawn at once (`_gaussian_groups`), and a state costs one real
+    K^2 x K^2 product on its real coordinates.  Chunk sums enter the mean
+    and variance in chunk order.
     """
     _check_p(p)
-    if samples < 1 or shards < 1:
-        raise ValueError("samples and shards must be positive")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
     _check_dim(p_op, dim)
 
     if n == 0:
-        return MCEstimate(0.0, 0.0, samples, seed, shards, p)
+        return MCEstimate(0.0, 0.0, samples, seed, p)
     h = _hadamard(n)
     basis = _range_basis(p_op)
     k = basis.shape[1]
@@ -596,30 +596,30 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         c_vec = (frame.T @ m_code.ravel()).real
         s_mat = (frame.T @ g_op @ frame.conj()).real
 
-    def chunk_values(m: int, rng: np.random.Generator):
-        """The values of a shard's m states, one array per chunk."""
+    def chunk_values(rng: np.random.Generator):
+        """The values of the states, one array per chunk."""
         if not exact_errors:
-            for done in range(0, m, _CHUNK):
-                v = _uniform_batch(basis, min(_CHUNK, m - done), rng)
+            for done in range(0, samples, _CHUNK):
+                v = _uniform_batch(basis, min(_CHUNK, samples - done), rng)
                 yield _sampled_values(basis, h, v,
                                       *_sample_errors(n, p, rng, len(v)))
             return
-        sizes = [min(_CHUNK, m - done) for done in range(0, m, _CHUNK)]
+        sizes = [min(_CHUNK, samples - done)
+                 for done in range(0, samples, _CHUNK)]
         for g, count in _gaussian_groups(sizes, k, k * k, rng):
             q = _hermitian_coordinates(g)
             yield from (c_vec @ q - np.sum(q * (s_mat @ q), axis=0)
                         ).reshape(count, -1)
 
     n_sum = sq_sum = 0.0
-    for shard, m in enumerate(_split(samples, shards)):
-        for vals in chunk_values(m, _shard_rng(seed, shard)):
-            n_sum += float(np.sum(vals))
-            sq_sum += float(np.sum(vals * vals))
+    for vals in chunk_values(_seeded_rng(seed)):
+        n_sum += float(np.sum(vals))
+        sq_sum += float(np.sum(vals * vals))
 
     mean = n_sum / samples
     var = (max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
            if samples > 1 else 0.0)
-    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, shards, p)
+    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, p)
 
 
 def _code_space_shifts(basis: np.ndarray, hadamard: np.ndarray):

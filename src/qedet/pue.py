@@ -239,14 +239,12 @@ def _span_keys(code: AdditiveCode) -> np.ndarray:
 
 
 class PueResult(NamedTuple):
-    code: str
     mode: str
     p: float
     value: float
 
 
-def sweep(pair: EnumeratorPair, p_grid, modes,
-          code: str = "") -> Sequence[PueResult]:
+def sweep(pair: EnumeratorPair, p_grid, modes) -> Sequence[PueResult]:
     """Evaluate the requested modes on a probability grid, one row per (p, mode).
 
     One grid evaluation serves every requested form: the polynomial gives
@@ -275,16 +273,16 @@ def sweep(pair: EnumeratorPair, p_grid, modes,
             columns["moments"] = forms[-1]
     # One column per requested mode; read row by row, (p, mode) order.
     values = np.array([columns[mode] for mode in modes]).T.ravel().tolist()
-    return _Rows(code, modes, np.repeat(grid, len(modes)).tolist(), values)
+    return _Rows(modes, np.repeat(grid, len(modes)).tolist(), values)
 
 
 class _Rows(Sequence):
     """sweep's rows over the p and value columns, each built when read."""
 
-    __slots__ = ("_code", "_modes", "_ps", "_values")
+    __slots__ = ("_modes", "_ps", "_values")
 
-    def __init__(self, code: str, modes: tuple, ps: list, values: list) -> None:
-        self._code, self._modes, self._ps, self._values = code, modes, ps, values
+    def __init__(self, modes: tuple, ps: list, values: list) -> None:
+        self._modes, self._ps, self._values = modes, ps, values
 
     def __len__(self) -> int:
         return len(self._values)
@@ -293,13 +291,12 @@ class _Rows(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        return PueResult(self._code, self._modes[i % len(self._modes)],
-                         self._ps[i], self._values[i])
+        return PueResult(self._modes[i % len(self._modes)], self._ps[i],
+                         self._values[i])
 
     def __iter__(self):
         return map(tuple.__new__, repeat(PueResult),
-                   zip(repeat(self._code), cycle(self._modes), self._ps,
-                       self._values))
+                   zip(cycle(self._modes), self._ps, self._values))
 
     def __eq__(self, other):
         if isinstance(other, (list, _Rows)):

@@ -33,7 +33,7 @@ from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors
 from qedet.oracle import (_MOMENT_BLOCKS, MCEstimate, MomentReport,
                           _code_space_forms, _error_table, _hadamard,
-                          _pauli_action, _range_basis, _shard_rng,
+                          _pauli_action, _range_basis, _seeded_rng,
                           _sphere_batch, _split, _uniform_batch, pauli_matrix)
 
 
@@ -133,7 +133,7 @@ def fourth_moment_blocks(dim: int, samples: int,
 
 
 def nonstab_mc_exact_chunks(p_op: np.ndarray, p: float, samples: int,
-                            seed: int = 0, shards: int = 1) -> MCEstimate:
+                            seed: int = 0) -> MCEstimate:
     """The exact branch of `oracle.pue_nonstab_mc` chunk by chunk, in
     complex coordinates: u^dag (L^dag T L) u - y^T G conj(y) with
     y = conj(u) (x) u for each state u of a chunk."""
@@ -142,19 +142,18 @@ def nonstab_mc_exact_chunks(p_op: np.ndarray, p: float, samples: int,
     k = basis.shape[1]
     m_code, g_op = _code_space_forms(basis, _error_table(n, p), _hadamard(n))
     n_sum = sq_sum = 0.0
-    for shard, m in enumerate(_split(samples, shards)):
-        rng = _shard_rng(seed, shard)
-        for done in range(0, m, _CHUNK):
-            u = _sphere_batch(min(_CHUNK, m - done), k, rng)
-            y = (u.conj()[:, :, None] * u[:, None, :]).reshape(len(u), -1)
-            vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
-                    - np.sum((y @ g_op) * y.conj(), axis=1).real)
-            n_sum += float(np.sum(vals))
-            sq_sum += float(np.sum(vals * vals))
+    rng = _seeded_rng(seed)
+    for done in range(0, samples, _CHUNK):
+        u = _sphere_batch(min(_CHUNK, samples - done), k, rng)
+        y = (u.conj()[:, :, None] * u[:, None, :]).reshape(len(u), -1)
+        vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
+                - np.sum((y @ g_op) * y.conj(), axis=1).real)
+        n_sum += float(np.sum(vals))
+        sq_sum += float(np.sum(vals * vals))
     mean = n_sum / samples
     var = (max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
            if samples > 1 else 0.0)
-    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, shards, p)
+    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, p)
 
 
 def enumerators_loop(p_op: np.ndarray, dim: int) -> EnumeratorPair:
@@ -191,18 +190,15 @@ def composite_loop(p_op: np.ndarray, dim: int, p: float) -> float:
 
 
 def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
-                          seed: int = 0, shards: int = 1) -> tuple[float, float]:
+                          seed: int = 0) -> tuple[float, float]:
     """(estimate, stderr) of the exact-error branch of pue_nonstab_mc from the
     same state draws: P E v for every non-identity error, one dense P E
     product per error over all the states."""
     n = (p_op.shape[0] - 1).bit_length()
     basis = _range_basis(p_op)
-    blocks = []
-    for shard, m in enumerate(_split(samples, shards)):
-        rng = _shard_rng(seed, shard)
-        for done in range(0, m, _CHUNK):
-            blocks.append(_uniform_batch(basis, min(_CHUNK, m - done), rng))
-    v = np.concatenate(blocks)
+    rng = _seeded_rng(seed)
+    v = np.concatenate([_uniform_batch(basis, min(_CHUNK, samples - done), rng)
+                        for done in range(0, samples, _CHUNK)])
     vals = np.zeros(len(v))
     for e in all_vectors(n):
         if e.is_zero:
@@ -252,34 +248,33 @@ def sampled_values_dense(p_op: np.ndarray, v: np.ndarray,
 
 
 def simulate_loop(code, p_op: np.ndarray, p: float, trials: int,
-                  protocol: str, seed: int, shards: int) -> tuple[int, int, int]:
+                  protocol: str, seed: int) -> tuple[int, int, int]:
     """(undetected, detected, trivial) counts of the protocol, trial by trial,
     with both measurements made by `measure` from the simulator's blocks of
     draws."""
     p_perp = np.eye(len(p_op), dtype=complex) - p_op
     undetected = detected = trivial = 0
-    for shard, m in enumerate(_split(trials, shards)):
-        rng = _shard_rng(seed, shard)
-        for done in range(0, m, _CHUNK):
-            c = min(_CHUNK, m - done)
-            states = _uniform_batch(_range_basis(p_op), c, rng)
-            errors = sample_errors_loop(code.n, p, rng, c)
-            u1 = rng.random(c)
-            u2 = rng.random(c) if protocol == "nonstabilizer" else None
-            for i, (v, e) in enumerate(zip(states, errors)):
-                rows, phases = _pauli_action(e)
-                w = phases * v[rows]
-                index, post = measure(w, (p_op, p_perp), u1[i])
-                if index == 1:
-                    detected += 1
-                    continue
-                if protocol == "stabilizer":
-                    same = abs(np.vdot(post, v)) ** 2 > _COLLINEAR
-                else:
-                    vv = np.outer(v, v.conj())
-                    same = measure(post, (vv, p_op - vv), u2[i])[0] == 0
-                if same:
-                    trivial += 1
-                else:
-                    undetected += 1
+    rng = _seeded_rng(seed)
+    for done in range(0, trials, _CHUNK):
+        c = min(_CHUNK, trials - done)
+        states = _uniform_batch(_range_basis(p_op), c, rng)
+        errors = sample_errors_loop(code.n, p, rng, c)
+        u1 = rng.random(c)
+        u2 = rng.random(c) if protocol == "nonstabilizer" else None
+        for i, (v, e) in enumerate(zip(states, errors)):
+            rows, phases = _pauli_action(e)
+            w = phases * v[rows]
+            index, post = measure(w, (p_op, p_perp), u1[i])
+            if index == 1:
+                detected += 1
+                continue
+            if protocol == "stabilizer":
+                same = abs(np.vdot(post, v)) ** 2 > _COLLINEAR
+            else:
+                vv = np.outer(v, v.conj())
+                same = measure(post, (vv, p_op - vv), u2[i])[0] == 0
+            if same:
+                trivial += 1
+            else:
+                undetected += 1
     return undetected, detected, trivial

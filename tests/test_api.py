@@ -1,13 +1,17 @@
-"""The public names of the qedet package, pinned so that any change to the
-exports shows up as a diff of this list."""
+"""The public names of the qedet package and the flags of `qed`, pinned so
+that any change to the exports or the command line shows up as a diff of
+these lists."""
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import types
 
 import qedet
+from qedet.cli import build_parser
 from qedet.oracle import MCEstimate, MomentReport
+from qedet.pue import PueResult
 
 PUBLIC_NAMES = [
     "AdditiveCode", "CATALOG", "CodeFormatError", "EnumeratorPair",
@@ -35,13 +39,39 @@ def test_public_names_are_pinned():
 # The fields of the report types, which `qedbench` and callers read by name.
 REPORT_FIELDS = {
     MomentReport: ["deviation", "sigma", "samples"],
-    MCEstimate: ["estimate", "stderr", "samples", "seed", "shards", "p"],
-    qedet.SimReport: ["protocol", "p", "trials", "seed", "shards", "estimate",
-                      "stderr", "undetected_count", "detected_count",
-                      "trivial_count"],
+    MCEstimate: ["estimate", "stderr", "samples", "seed", "p"],
+    qedet.SimReport: ["protocol", "p", "trials", "seed", "estimate", "stderr",
+                      "undetected_count", "detected_count", "trivial_count"],
+    PueResult: ["mode", "p", "value"],
 }
+
+
+def _fields(cls) -> list[str]:
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    return list(cls._fields)  # a NamedTuple
 
 
 def test_report_fields_are_pinned():
     for cls, names in REPORT_FIELDS.items():
-        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+        assert _fields(cls) == names, cls.__name__
+
+
+# Each `qed` subcommand's option strings, in the order `qed <cmd> -h` lists
+# them.
+CLI_OPTIONS = {
+    "enum": ["-h", "--help", "--json"],
+    "pue": ["-h", "--help", "--p", "--sweep", "--mode"],
+    "verify": ["-h", "--help", "--samples", "--seed"],
+    "simulate": ["-h", "--help", "--p", "--trials", "--seed", "--protocol"],
+}
+
+
+def test_cli_options_are_pinned():
+    parser = build_parser()
+    commands, = [a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [s for a in sub._actions for s in a.option_strings]
+               for name, sub in commands.items()}
+    assert options == CLI_OPTIONS
+    assert list(options) == list(CLI_OPTIONS)

@@ -17,7 +17,7 @@ from qedet.chansim import _CHUNK, _born_first, simulate
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import GF4Vector
 from qedet.oracle import (_range_basis, _reverse_bits, _sample_errors,
-                          _shard_rng, _uniform_batch, code_projector,
+                          _seeded_rng, _uniform_batch, code_projector,
                           pue_nonstab_mc)
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
@@ -174,12 +174,16 @@ def test_simulate_reports_are_bit_identical():
     assert a == b and a.to_json() == b.to_json()
 
 
-def test_simulate_sharded_is_deterministic():
+def test_simulate_is_deterministic_with_a_short_last_chunk():
+    # 1001 trials: three full chunks and a short one.
     code = get_code("c422")
-    a = simulate(code, 0.1, 1001, seed=7, shards=4)
-    b = simulate(code, 0.1, 1001, seed=7, shards=4)
+    a = simulate(code, 0.1, 1001, seed=7)
+    b = simulate(code, 0.1, 1001, seed=7)
     assert a == b
     assert a.trials == 1001
+    c = simulate(code, 0.1, 1001, seed=8)
+    assert (c.undetected_count, c.detected_count) != \
+        (a.undetected_count, a.detected_count)
 
 
 def test_simulate_counts_sum_and_stderr():
@@ -241,10 +245,10 @@ def test_simulate_counts_equal_measure_loop(name, protocol):
     code = SIM_CODES[name]
     p_op = code_projector(code)
     for p in (0.0, 0.1, 0.5, 0.75):
-        report = simulate(code, p, 600, protocol=protocol, seed=5, shards=2)
+        report = simulate(code, p, 600, protocol=protocol, seed=5)
         counts = (report.undetected_count, report.detected_count,
                   report.trivial_count)
-        assert counts == simulate_loop(code, p_op, p, 600, protocol, 5, 2)
+        assert counts == simulate_loop(code, p_op, p, 600, protocol, 5)
 
 
 @pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
@@ -259,7 +263,7 @@ def test_simulate_counts_equal_measure_loop_at_chunk_edges(trials, protocol):
     counts = (report.undetected_count, report.detected_count,
               report.trivial_count)
     assert sum(counts) == trials
-    assert counts == simulate_loop(code, p_op, 0.5, trials, protocol, 6, 1)
+    assert counts == simulate_loop(code, p_op, 0.5, trials, protocol, 6)
 
 
 def test_simulate_rejects_a_split_first_measurement(monkeypatch):
@@ -270,7 +274,7 @@ def test_simulate_rejects_a_split_first_measurement(monkeypatch):
     a = np.array([math.cos(0.3), np.exp(0.7j) * math.sin(0.3)])
     p_op = np.outer(a, a.conj())
     monkeypatch.setattr(chansim, "code_projector", lambda code, cap: p_op)
-    rng = _shard_rng(4, 0)
+    rng = _seeded_rng(4)
     _uniform_batch(_range_basis(p_op), 40, rng)
     x, z = _sample_errors(1, 0.1, rng, 40)
     assert x[0] == z[0] == 0 and (x | z).any()
@@ -300,8 +304,8 @@ def test_k0_code_has_no_undetected_errors(name):
 def test_simulate_json_schema():
     report = simulate(get_code("bell"), 0.3, 100, seed=1)
     doc = json.loads(report.to_json())
-    assert set(doc) == {"protocol", "p", "trials", "seed", "shards",
-                        "estimate", "stderr", "counts"}
+    assert set(doc) == {"protocol", "p", "trials", "seed", "estimate",
+                        "stderr", "counts"}
     assert set(doc["counts"]) == {"undetected", "detected", "trivial"}
     assert doc["counts"]["undetected"] + doc["counts"]["detected"] + \
         doc["counts"]["trivial"] == 100

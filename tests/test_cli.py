@@ -88,7 +88,7 @@ def test_pue_single_point(capsys):
 
 def test_pue_sweep_csv(capsys):
     code, out, _ = run(capsys, "pue", "c422", "--sweep", "0:0.75:0.25",
-                       "--mode", "c", "--csv")
+                       "--mode", "c")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5  # header + 4 rows
@@ -192,11 +192,6 @@ def test_simulate_analytic_is_the_closed_form(capsys, protocol, closed_form):
     assert err.startswith(f"analytic {analytic!r},")
 
 
-def test_simulate_zero_trials_exits_1(capsys):
-    code, _, _ = run(capsys, "simulate", "c422", "--p", "0.1", "--trials", "0")
-    assert code == 1
-
-
 def test_verify_c422_passes(capsys):
     code, out, _ = run(capsys, "verify", "c422", "--samples", "5000", "--seed", "0")
     assert code == 0
@@ -264,7 +259,8 @@ def test_verify_mc_band_does_not_collapse(capsys):
     assert ",FAIL," not in out
 
 
-def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys):
+def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys,
+                                                      monkeypatch):
     # The same trap under block draws of states and errors.  The error sum
     # is sampled only where the code-space error table is large
     # (4^n K^2 > 2^16), so this is a [[7,2,2]] code (K = 4) whose
@@ -273,8 +269,9 @@ def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys):
     # and 2.53 times the variance bound.
     c72 = tmp_path / "c72.code"
     c72.write_text("n=7 k=2\nZIZXYZX\nZXIZIZZ\nIIIXYXZ\nXIYZYIY\nIYYIXYZ\n")
-    code, out, _ = run(capsys, "verify", str(c72), "--max-n", "7",
-                       "--samples", "10000", "--seed", "104")
+    monkeypatch.setenv("QED_ORACLE_CAP", "7")
+    code, out, _ = run(capsys, "verify", str(c72), "--samples", "10000",
+                       "--seed", "104")
     assert code == 0
     assert "uniform_functional_mc,PASS,2.53 x stderr bound" in out
     # 4^7 K^2 = 2^18 is beyond the exact code-space rule.
@@ -316,22 +313,36 @@ def test_verify_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QED_ORACLE_CAP", "3")
     code, _, err = run(capsys, "verify", "c422")
     assert code == 1
-    assert "oracle cap" in err
-    # an explicit --max-n wins over the environment
-    code, _, _ = run(capsys, "verify", "c422", "--max-n", "4",
-                     "--samples", "2000")
+    assert "oracle cap" in err and "QED_ORACLE_CAP" in err
+    monkeypatch.setenv("QED_ORACLE_CAP", "4")
+    code, _, _ = run(capsys, "verify", "c422", "--samples", "2000")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "", "4.5"],
+                         ids=["word", "negative", "empty", "decimal"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "c422", "--samples", "100"),
+    ("simulate", "c422", "--p", "0.1", "--trials", "10"),
+], ids=["verify", "simulate"])
+def test_malformed_oracle_cap_exits_2_before_stdout(capsys, monkeypatch,
+                                                     argv, value):
+    monkeypatch.setenv("QED_ORACLE_CAP", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: QED_ORACLE_CAP must be an integer >= 0, "
+                   f"not {value!r}\n")
 
 
 @pytest.mark.parametrize("argv", [
     ("verify", "c422", "--samples", "0"),
     ("verify", "c422", "--seed", "-1"),
     ("simulate", "c422", "--p", "0.1", "--seed", "-1"),
-    ("verify", "bell", "--tol", "nan"),
-    ("verify", "bell", "--tol", "inf"),
-    ("verify", "bell", "--tol", "-1e-3"),
+    ("simulate", "c422", "--p", "0.1", "--trials", "0"),
+    ("simulate", "c422", "--p", "0.1", "--trials", "-5"),
 ], ids=["verify-samples-0", "verify-seed-negative", "simulate-seed-negative",
-        "verify-tol-nan", "verify-tol-inf", "verify-tol-negative"])
+        "simulate-trials-0", "simulate-trials-negative"])
 def test_bad_numeric_option_exits_2_before_stdout(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

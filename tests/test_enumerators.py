@@ -21,7 +21,8 @@ from qedet.enumerators import (EnumeratorPair, binomial_moments,
                                check_enum_properties, hamming_weights,
                                macwilliams, min_distance,
                                stabilizer_enumerators)
-from qedet.gf4 import AdditiveCode, GF4Vector, dual, parse_code
+from qedet.gf4 import (ENUMERATION_CAP, AdditiveCode, GF4Vector, dual,
+                       parse_code)
 
 from pue_reference import binomial_moments_reference
 from test_gf4 import (_random_code, oracle_dual, oracle_span,
@@ -286,13 +287,16 @@ def test_hamming_weights_in_small_blocks(monkeypatch, block_bits):
 
 
 def test_hamming_weights_enumeration_cap_message():
-    code = parse_code("XXXX\nZZZZ")
+    # 23 independent single-qubit generators: 2^23 words, one power of two
+    # past the cap.  The size check raises before anything is enumerated.
+    code = AdditiveCode(23, tuple(GF4Vector(23, 1 << i, 0) for i in range(23)))
+    assert code.size == 2 * ENUMERATION_CAP
     with pytest.raises(ValueError) as gray:
-        list(code.codewords(cap=2))
+        list(code.codewords())
     with pytest.raises(ValueError) as keys:
-        hamming_weights(code, cap=2)
+        hamming_weights(code)
     assert str(keys.value) == str(gray.value) == \
-        "code has 4 elements, beyond the enumeration cap 2"
+        "code has 8388608 elements, beyond the enumeration cap 4194304"
 
 
 def test_hamming_weights_memory_is_bounded():

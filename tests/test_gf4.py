@@ -12,9 +12,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from qedet.gf4 import (AdditiveCode, CodeFormatError, GF4Vector, adjoin_error,
-                       all_vectors, dual, label_to_vector, parse_code,
-                       pauli_label, trace_inner)
+from qedet.gf4 import (ENUMERATION_CAP, AdditiveCode, CodeFormatError,
+                       GF4Vector, adjoin_error, all_vectors, dual,
+                       label_to_vector, parse_code, pauli_label, trace_inner)
 
 # --- independent GF(4) oracle -------------------------------------------------
 # Elements encoded 0, 1, 2, 3 for 0, 1, w, w^2 with w^2 = w + 1.
@@ -210,9 +210,11 @@ def test_codewords_rank_zero():
 
 
 def test_enumeration_cap():
-    code = parse_code("XXXX\nZZZZ")
-    with pytest.raises(ValueError):
-        list(code.codewords(cap=2))
+    # 2^23 words; codewords() checks the size before its first word.
+    code = AdditiveCode(23, tuple(GF4Vector(23, 0, 1 << i) for i in range(23)))
+    assert code.size == 2 * ENUMERATION_CAP
+    with pytest.raises(ValueError, match="beyond the enumeration cap"):
+        next(code.codewords())
 
 
 def test_dual_of_trivial_code_is_everything():

@@ -22,7 +22,7 @@ from qedet.oracle import (_CHUNK, _CHUNK_CELLS, _MOMENT_BLOCKS, DETECTED,
                           _code_space_forms, _error_table, _gaussian_groups,
                           _hadamard, _hermitian_coordinates, _hermitian_frame,
                           _range_basis, _reverse_bits, _sample_errors,
-                          _sampled_values, _shard_rng, _split, _uniform_batch,
+                          _sampled_values, _seeded_rng, _split, _uniform_batch,
                           classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
@@ -733,11 +733,20 @@ def test_pue_nonstab_mc_sampled_error_path():
     assert est.stderr > 0
 
 
-def test_pue_nonstab_mc_reproducible_across_shards():
+def test_pue_nonstab_mc_reproducible_for_a_seed():
     p = code_projector(get_code("c422"))
-    a = pue_nonstab_mc(p, 4, 0.1, 3001, seed=5, shards=3)
-    b = pue_nonstab_mc(p, 4, 0.1, 3001, seed=5, shards=3)
+    a = pue_nonstab_mc(p, 4, 0.1, 3001, seed=5)
+    b = pue_nonstab_mc(p, 4, 0.1, 3001, seed=5)
     assert a == b
+    assert pue_nonstab_mc(p, 4, 0.1, 3001, seed=6).estimate != a.estimate
+
+
+def test_seeded_rng_keeps_the_spawn_key_0_stream():
+    # The stream every seeded estimate and simulation draws from.
+    for seed in (0, 7, 2**40):
+        want = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(0,))))
+        assert np.array_equal(_seeded_rng(seed).random(8), want.random(8))
 
 
 # Random codes inside the exact-branch rule 4^n K^2 <= 2^16; the n = 5,
@@ -749,23 +758,21 @@ EXACT_CODES = {
 }
 
 
-# Every shard draws at least two 256-state chunks, the last one short.
-@pytest.mark.parametrize("name,p,samples,shards", [
-    ("trivial-n1", 0.3, 2000, 1),
-    ("c422", 0.1, 3001, 3),
-    ("c422", 0.75, 1000, 2),
-    ("random-n4", 0.2, 1500, 1),
-    ("five13", 0.1, 600, 2),
-    ("random-n5-r2", 0.2, 600, 2),
-    ("random-n6-r4", 0.1, 300, 1),
+# Every run draws at least two 256-state chunks, the last one short.
+@pytest.mark.parametrize("name,p,samples", [
+    ("trivial-n1", 0.3, 2000),
+    ("c422", 0.1, 3001),
+    ("c422", 0.75, 1000),
+    ("random-n4", 0.2, 1500),
+    ("five13", 0.1, 600),
+    ("random-n5-r2", 0.2, 600),
+    ("random-n6-r4", 0.1, 300),
 ])
-def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples,
-                                                       shards):
+def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples):
     code = EXACT_CODES[name] if name in EXACT_CODES else get_code(name)
     p_op = code_projector(code)
-    got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7, shards=shards)
-    want, want_stderr = nonstab_mc_exact_loop(p_op, p, samples, seed=7,
-                                              shards=shards)
+    got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7)
+    want, want_stderr = nonstab_mc_exact_loop(p_op, p, samples, seed=7)
     assert want > 0
     assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
     if name == "five13":
@@ -790,7 +797,7 @@ def test_pue_nonstab_mc_branch_rule_boundary(n, rank, exact):
     if exact:
         want = nonstab_mc_exact_loop(p_op, p, c, seed=seed)[0]
     else:
-        rng = _shard_rng(seed, 0)
+        rng = _seeded_rng(seed)
         v = _uniform_batch(_range_basis(p_op), c, rng)
         x, z = _sample_errors(n, p, rng, c)
         errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))
@@ -857,15 +864,13 @@ def test_exact_branch_equals_chunk_reference(name):
 
     p_op, k = DIFFERENTIAL[name]
     for total in filter(partial(_affordable, k), TOTALS):
-        for shards in (1, 3):
-            got = pue_nonstab_mc(p_op, k, 0.2, total, seed=total, shards=shards)
-            want = nonstab_mc_exact_chunks(p_op, 0.2, total, seed=total,
-                                           shards=shards)
-            assert got.estimate == pytest.approx(want.estimate, rel=1e-12,
-                                                 abs=1e-15)
-            assert mean_square(got) == pytest.approx(mean_square(want),
-                                                     rel=1e-12, abs=1e-15)
-            assert (got.samples, got.shards) == (total, shards)
+        got = pue_nonstab_mc(p_op, k, 0.2, total, seed=total)
+        want = nonstab_mc_exact_chunks(p_op, 0.2, total, seed=total)
+        assert got.estimate == pytest.approx(want.estimate, rel=1e-12,
+                                             abs=1e-15)
+        assert mean_square(got) == pytest.approx(mean_square(want),
+                                                 rel=1e-12, abs=1e-15)
+        assert got.samples == total
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
@@ -879,13 +884,11 @@ def test_exact_branch_runs_are_invisible(name, monkeypatch):
 
     p_op, k = DIFFERENTIAL[name]
     for total in (255, 257, 2049, 20000):
-        for shards in (1, 3):
-            grouped = pue_nonstab_mc(p_op, k, 0.2, total, seed=3, shards=shards)
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_gaussian_groups", one_chunk_runs)
-                single = pue_nonstab_mc(p_op, k, 0.2, total, seed=3,
-                                        shards=shards)
-            assert grouped == single
+        grouped = pue_nonstab_mc(p_op, k, 0.2, total, seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_gaussian_groups", one_chunk_runs)
+            single = pue_nonstab_mc(p_op, k, 0.2, total, seed=3)
+        assert grouped == single
 
 
 @pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-0"],
@@ -896,7 +899,7 @@ def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
     # one chunk's values must equal the dense-matrix formula on those draws.
     n, p, c, seed = code.n, 0.3, 200, 11
     p_op = code_projector(code)
-    rng = _shard_rng(seed, 0)
+    rng = _seeded_rng(seed)
     v = _uniform_batch(_range_basis(p_op), c, rng)
     x, z = _sample_errors(n, p, rng, c)
     errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))

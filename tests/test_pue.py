@@ -184,7 +184,7 @@ def test_classical_range_check():
 
 
 def test_sweep_rows_and_order(pairs):
-    rows = sweep(pairs["c422"], [0.0, 0.25, 0.5, 0.75], ["composite"], code="c422")
+    rows = sweep(pairs["c422"], [0.0, 0.25, 0.5, 0.75], ["composite"])
     assert len(rows) == 4
     assert [r.p for r in rows] == [0.0, 0.25, 0.5, 0.75]
     assert all(r.mode == "composite" for r in rows)
@@ -200,14 +200,14 @@ def test_sweep_unknown_mode(pairs):
 
 
 def test_sweep_csv_round_trip(pairs):
-    rows = sweep(pairs["five13"], GRID, ["stabilizer", "nonstabilizer"], code="five13")
+    rows = sweep(pairs["five13"], GRID, ["stabilizer", "nonstabilizer"])
     text = sweep_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "p,mode,pue"
     parsed = []
     for line in lines[1:]:
         p, mode, value = line.split(",")
-        parsed.append(PueResult("five13", mode, float(p), float(value)))
+        parsed.append(PueResult(mode, float(p), float(value)))
     assert parsed == rows  # shortest round-trip floats survive exactly
 
 
@@ -313,7 +313,7 @@ def test_p_range_accepts_three_quarters_and_negative_zero(pairs, edge):
                                   1 - Fraction(edge), Fraction(edge) / 3)
     assert pue_via_moments(pair, edge, exact=True) == exact
     rows = sweep(pair, [edge], ["stabilizer"])
-    assert rows == [PueResult("", "stabilizer", float(edge),
+    assert rows == [PueResult("stabilizer", float(edge),
                               pue_stabilizer(pair, edge))]
 
 
@@ -332,8 +332,8 @@ def test_p_range_reads_each_kind_of_number(pairs):
 
 def test_sweep_accepts_a_one_shot_grid(pairs):
     grid = [0.1, 0.2, 0.75]
-    rows = sweep(pairs["five13"], (p for p in grid), MODES, code="five13")
-    assert rows == sweep(pairs["five13"], grid, MODES, code="five13")
+    rows = sweep(pairs["five13"], (p for p in grid), MODES)
+    assert rows == sweep(pairs["five13"], grid, MODES)
     assert len(rows) == len(grid) * len(MODES)
     with pytest.raises(ValueError):
         sweep(pairs["five13"], (p for p in [0.1, 0.9]), MODES)
@@ -391,8 +391,8 @@ def test_sweep_rows_equal_single_point_values(name):
 def test_sweep_rows_match_per_row_construction():
     pair = WIDE_PAIRS["n96"]
     modes = ["moments", "composite", "moments", "nonstabilizer", "stabilizer"]
-    rows = sweep(pair, MIXED_GRID, modes, code="g96")
-    assert rows == [PueResult("g96", mode, float(p), SINGLE_POINT[mode](pair, p))
+    rows = sweep(pair, MIXED_GRID, modes)
+    assert rows == [PueResult(mode, float(p), SINGLE_POINT[mode](pair, p))
                     for p in MIXED_GRID for mode in modes]
     assert sweep(pair, MIXED_GRID, []) == []
 
@@ -401,8 +401,8 @@ def test_sweep_rows_match_per_row_construction():
 
 def test_sweep_rows_behave_as_a_read_only_list(pairs):
     pair = pairs["five13"]
-    rows = sweep(pair, GRID, MODES, code="five13")
-    listed = [PueResult("five13", mode, p, SINGLE_POINT[mode](pair, p))
+    rows = sweep(pair, GRID, MODES)
+    listed = [PueResult(mode, p, SINGLE_POINT[mode](pair, p))
               for p in GRID for mode in MODES]
     assert len(rows) == len(listed) == 80
     assert list(rows) == list(rows) == listed  # iterates twice
@@ -428,7 +428,7 @@ def test_sweep_rows_compare_as_lists(pairs):
     assert rows == sweep(pair, GRID, MODES)
     assert rows != sweep(pair, GRID[:-1], MODES)
     assert rows != listed[:-1] and listed[1:] != rows
-    assert rows != sweep(pair, GRID, MODES, code="other")
+    assert rows != sweep(pair, GRID, MODES[::-1])
     for other in (None, 3, "rows", tuple(listed), {0: listed[0]}):
         assert rows != other and other != rows
     with pytest.raises(TypeError):
@@ -440,9 +440,8 @@ def test_sweep_csv_is_unchanged_on_shaped_and_wide_pairs(shaped_pairs):
     cases = [(pair, GRID751) for pair in shaped_pairs]
     cases += [(pair, MIXED_GRID) for pair in WIDE_PAIRS.values()]
     for pair, grid in cases:
-        code = f"n{pair.n}"
-        rows = sweep(pair, grid, MODES, code=code)
-        want = [PueResult(code, mode, float(p), SINGLE_POINT[mode](pair, p))
+        rows = sweep(pair, grid, MODES)
+        want = [PueResult(mode, float(p), SINGLE_POINT[mode](pair, p))
                 for p in grid for mode in MODES]
         assert [rows[i] for i in range(len(rows))] == want, pair.n
         lines = [f"{row.p!r},{row.mode},{row.value!r}\n" for row in want]
