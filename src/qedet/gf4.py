@@ -249,6 +249,12 @@ class AdditiveCode:
         # _reduce_row needs; contains() reduces against them.
         return _rref(_sym_row(g) for g in self.generators)
 
+    @cached_property
+    def _syndrome_keys(self) -> tuple[int, ...]:
+        # The generators' _dual_row keys: bit i of the syndrome of a word w
+        # is the parity of _sym_row(w) & key i.
+        return tuple(_dual_row(g) for g in self.generators)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AdditiveCode):
             return NotImplemented

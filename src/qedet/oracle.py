@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf4 import AdditiveCode, GF4Vector, trace_inner
+from .gf4 import AdditiveCode, GF4Vector, _sym_row
 from .enumerators import EnumeratorPair
 
 DenseOperator = np.ndarray
@@ -127,6 +127,16 @@ def _bit_reversal(n: int) -> tuple[int, ...]:
 
 
 @functools.cache
+def _shifts(n: int) -> np.ndarray:
+    """The XOR table S[x, j] = j ^ x of order 2^n, whose row x is the row
+    permutation of every error with x-plane x, built once per n (read-only)."""
+    j = np.arange(1 << n)
+    s = j[:, None] ^ j
+    s.flags.writeable = False
+    return s
+
+
+@functools.cache
 def _hadamard(n: int) -> np.ndarray:
     """The +-1 Hadamard matrix H[j, z] = (-1)^|j&z| of order 2^n: the parity
     table of every index against every z, built once per n (read-only)."""
@@ -141,12 +151,13 @@ def _pauli_action(v: GF4Vector) -> tuple[np.ndarray, np.ndarray]:
 
     P|j> = i^|x&z| (-1)^|j&z| |j^x>, where qubit q is index bit n-1-q, as in
     the Kronecker product of the single-qubit factors in qubit order.  The
-    signs (-1)^|j&z| are row z of the Hadamard matrix, gathered at j = rows.
+    signs at j = rows are H[z, j^x] = H[z, x] H[z, j]: row z of the Hadamard
+    matrix scaled by H[z, x], with no gather.
     """
-    rev = _bit_reversal(v.n)
+    rev, h = _bit_reversal(v.n), _hadamard(v.n)
     x, z = rev[v.x], rev[v.z]
-    rows = np.arange(1 << v.n) ^ x
-    return rows, _PHASES[(x & z).bit_count() % 4] * _hadamard(v.n)[z, rows]
+    return (_shifts(v.n)[x],
+            _PHASES[(x & z).bit_count() % 4] * (h[z, x] * h[z]))
 
 
 def _error_table(n: int, p: float) -> np.ndarray:
@@ -224,17 +235,17 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
     _check_dim(p_op, dim)
-    h = _hadamard(n)
-    j = np.arange(1 << n)
-    shifts = j[:, None] ^ j
+    h, shifts = _hadamard(n), _shifts(n)
+    j = shifts[0]
     # Tr(E P E P) = (-1)^|x&z| sum_y (-1)^|y&z| G_x[y], and (-1)^|x&z| =
     # H[x, z].  With A = P[j^x, :], G_x[y] = sum_j A[j, j^y] A[j^y, j]: one
-    # elementwise product A * A^T and one XOR gather per shift x, so memory
-    # stays at a few 2^n x 2^n arrays.
+    # elementwise product A * A^T and one gather at the flat XOR index
+    # j 2^n + (j^y) per shift x, so memory stays at a few 2^n x 2^n arrays.
+    flat = (j[:, None] << n) + shifts
     g = np.empty_like(p_op)
     for x in j:
-        a = p_op[j ^ x]
-        g[x] = np.take_along_axis(a * a.T, shifts, axis=1).sum(axis=0)
+        a = p_op[shifts[x]]
+        g[x] = (a * a.T).take(flat).sum(axis=0)
     # Tr(E P) = i^(3|x&z|) (P[j^x, j] H)[x, z], and i^(6|x&z|) = H[x, z].
     traces_sq = h * (p_op[shifts, j] @ h) ** 2
     traces_epep = h * (g @ h)
@@ -270,11 +281,14 @@ def classify_error(code: AdditiveCode, e: GF4Vector) -> str:
     trivial: in the code (acts as identity on the subspace);
     detected: outside the dual (maps the subspace into its complement);
     undetectable: in the dual but not the code (rotates the subspace).
+    The syndrome bits are parities against the code's plane-swapped keys.
     """
     if code.contains(e):
         return TRIVIAL
-    if any(trace_inner(e, g) for g in code.generators):
-        return DETECTED
+    row = _sym_row(e)
+    for key in code._syndrome_keys:  # a loop: no generator per call
+        if (row & key).bit_count() & 1:
+            return DETECTED
     return UNDETECTABLE
 
 
@@ -285,16 +299,17 @@ def classify_error_dense(p_op: DenseOperator, e: GF4Vector,
     Tr(E P E P) = ||P E P||_F^2 is 0 when E maps the subspace to its
     complement and K = Tr P when E preserves it; a preserved E acts as +-I
     on the subspace exactly when |Tr(E P)| = K.  With E P = diag(phi) A for
-    the row gather A = P[rows] (`_pauli_action`), the traces are
-    Tr(E P E P) = phi^T (A o A^T) phi and Tr(E P) = phi . diag(A).
+    the row gather A = P[rows] (`_pauli_action`, by `take`), the traces are
+    Tr(E P E P) = phi^T (A o A^T) phi, read once as a Python complex, and
+    Tr(E P) = phi . diag(A); K is P's own trace.
     """
     _check_cap(e.n, cap)
     rows, phases = _pauli_action(e)
-    a = p_op[rows]
-    tr_epep = phases @ (a * a.T) @ phases
+    a = p_op.take(rows, axis=0)
+    tr_epep = complex(phases @ (a * a.T) @ phases)
     if abs(tr_epep) < _CLASSIFY_TOL:
         return DETECTED
-    k = np.trace(p_op).real
+    k = p_op.trace().real
     if abs(tr_epep - k) >= _CLASSIFY_TOL:
         raise ValueError("error neither preserves the subspace nor maps it "
                          "to the complement; not a valid stabilizer setup")
@@ -597,24 +612,26 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         s_mat = (frame.T @ g_op @ frame.conj()).real
 
     def chunk_values(rng: np.random.Generator):
-        """The values of the states, one array per chunk."""
+        """The values of the states, one (chunks, states) array per run."""
         if not exact_errors:
             for done in range(0, samples, _CHUNK):
                 v = _uniform_batch(basis, min(_CHUNK, samples - done), rng)
                 yield _sampled_values(basis, h, v,
-                                      *_sample_errors(n, p, rng, len(v)))
+                                      *_sample_errors(n, p, rng, len(v)))[None]
             return
         sizes = [min(_CHUNK, samples - done)
                  for done in range(0, samples, _CHUNK)]
         for g, count in _gaussian_groups(sizes, k, k * k, rng):
             q = _hermitian_coordinates(g)
-            yield from (c_vec @ q - np.sum(q * (s_mat @ q), axis=0)
-                        ).reshape(count, -1)
+            yield (c_vec @ q - np.sum(q * (s_mat @ q), axis=0)).reshape(count, -1)
 
     n_sum = sq_sum = 0.0
     for vals in chunk_values(_seeded_rng(seed)):
-        n_sum += float(np.sum(vals))
-        sq_sum += float(np.sum(vals * vals))
+        # One reduction per run; its chunk sums enter in chunk order.
+        for s, sq in zip(vals.sum(axis=1).tolist(),
+                         (vals * vals).sum(axis=1).tolist()):
+            n_sum += s
+            sq_sum += sq
 
     mean = n_sum / samples
     var = (max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)

@@ -21,8 +21,9 @@ term as a mantissa and an exact power of two.  A row's value is therefore
 the same in any grid, and equals the single-point evaluation.  Exact
 rationals (exact=True) come from one integer numerator: with p = a/b every
 term shares the denominator (3b)^n, and p is range-checked on a and b.
-The coefficient differences, and their nonzero terms as mantissas and
-shifts, are computed once per EnumeratorPair.
+The coefficient differences, and their nonzero terms as mantissas, shifts
+and exponents n - i, are computed once per EnumeratorPair; the reference
+coset sum enumerates a code's dual coset once, into a weight histogram.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,19 +49,23 @@ _MAX_BITS = 1000
 
 
 class _Terms(NamedTuple):
-    """Nonzero coefficients d_i ~ mant * 2^shift (correctly rounded), i = cols."""
+    """Nonzero coefficients d_i ~ mant * 2^shift (correctly rounded), i = cols,
+    with the exponents n - cols and whether no coefficient needs a shift."""
 
     cols: np.ndarray
     mant: np.ndarray
     shift: np.ndarray
+    rest: np.ndarray
+    unshifted: bool
 
 
 def _terms(diffs) -> _Terms:
     cols = [i for i, d in enumerate(diffs) if d]
     shift = [max(diffs[i].bit_length() - _MAX_BITS, 0) for i in cols]
-    return _Terms(np.array(cols, dtype=np.intp),
-                  np.array([diffs[i] / (1 << s) for i, s in zip(cols, shift)]),
-                  np.array(shift, dtype=np.intp))
+    mant = [diffs[i] / (1 << s) for i, s in zip(cols, shift)]
+    n, cols = len(diffs) - 1, np.array(cols, dtype=np.intp)
+    return _Terms(cols, np.array(mant), np.array(shift, dtype=np.intp),
+                  n - cols, not any(shift))
 
 
 def _pair_terms(pair: EnumeratorPair) -> tuple[_Terms, _Terms]:
@@ -100,17 +105,20 @@ def _grid_eval(n: int, base_y: np.ndarray, forms) -> list[np.ndarray]:
     plain products wherever they stay normal.  The choice is made per row,
     so a row's value does not depend on the other rows of the grid.
     """
-    used = np.zeros(n + 1, dtype=bool)
-    for t, _ in forms:
-        used[t.cols] = True
-    union = np.flatnonzero(used)
-    cols = [slice(None) if len(t.cols) == len(union)
-            else np.searchsorted(union, t.cols) for t, _ in forms]
+    if len(forms) == 1:
+        union, cols = forms[0][0].cols, [slice(None)]
+    else:
+        used = np.zeros(n + 1, dtype=bool)
+        for t, _ in forms:
+            used[t.cols] = True
+        union = np.flatnonzero(used)
+        cols = [slice(None) if len(t.cols) == len(union)
+                else np.searchsorted(union, t.cols) for t, _ in forms]
     # Every nonzero base is >= 2^(e-1), so every power down to base^n, and
     # every product of two, stays normal while n (1 - e) <= 1021.
     exp_y = np.frexp(base_y)[1]
     plain = [(n * (1 - np.minimum(np.frexp(x)[1], exp_y)) <= 1021)
-             & (not t.shift.any()) for t, x in forms]
+             & t.unshifted for t, x in forms]
     outs = [np.zeros(len(base_y)) for _ in forms]
     step = max(_CHUNK_CELLS // max(len(union), 1), 1)
     for lo in range(0, len(base_y), step):
@@ -120,13 +128,13 @@ def _grid_eval(n: int, base_y: np.ndarray, forms) -> list[np.ndarray]:
         for (t, x), idx, ok, out in zip(forms, cols, plain, outs):
             x, ok, out = x[c, None], ok[c], out[c]
             if ok.all():
-                out[:] = (t.mant * table[:, idx] * x ** (n - t.cols)).sum(axis=1)
+                out[:] = (t.mant * table[:, idx] * x ** t.rest).sum(axis=1)
                 continue
             r = np.flatnonzero(ok)
-            out[r] = (t.mant * table[r][:, idx] * x[r] ** (n - t.cols)).sum(axis=1)
+            out[r] = (t.mant * table[r][:, idx] * x[r] ** t.rest).sum(axis=1)
             r = np.flatnonzero(~ok)
             my, ey = _scaled_pow(y[r], t.cols)
-            mx, ex = _scaled_pow(x[r], n - t.cols)
+            mx, ex = _scaled_pow(x[r], t.rest)
             out[r] = np.ldexp(t.mant * my * mx, t.shift + ey + ex).sum(axis=1)
     return outs
 
@@ -213,23 +221,28 @@ def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
     Enumerates the dual element by element instead of using the weight
     distributions; used to cross-check the polynomial form.  Words are int64
     keys x | z << n spanned by XOR-doubling over the generators, so n <= 31;
-    a self-orthogonal code whose dual is under the cap has n <= 22.  Each
-    word contributes its weight's Python-float term, so the compensated sum
-    does not depend on the enumeration order.
+    a self-orthogonal code whose dual is under the cap has n <= 22.  The
+    dual coset is enumerated once per code: the weight histogram of its
+    words is kept on the code, and a call sums each word's Python-float
+    term, once per word, so the compensated sum is that of the word list.
     """
     _check_p(p)
-    n, ortho = code.n, dual(code)
-    if ortho.size > ENUMERATION_CAP:
-        raise ValueError(f"code has {ortho.size} elements, "
+    n, size = code.n, 1 << (2 * code.n - code.rank)  # the dual's size
+    if size > ENUMERATION_CAP:
+        raise ValueError(f"code has {size} elements, "
                          f"beyond the enumeration cap {ENUMERATION_CAP}")
     if n > 31:
         raise ValueError(f"words of {n} qubits do not fit int64 keys")
-    words, inside = _span_keys(ortho), np.sort(_span_keys(code))
-    at = np.minimum(np.searchsorted(inside, words), len(inside) - 1)
-    words = words[inside[at] != words]
-    weights = np.bitwise_count((words & ((1 << n) - 1)) | (words >> n))
+    cache = vars(code)
+    if "_coset_weights" not in cache:
+        words, inside = _span_keys(dual(code)), np.sort(_span_keys(code))
+        at = np.minimum(np.searchsorted(inside, words), len(inside) - 1)
+        words = words[inside[at] != words]
+        weights = np.bitwise_count((words & ((1 << n) - 1)) | (words >> n))
+        cache["_coset_weights"] = np.bincount(weights, minlength=n + 1).tolist()
     terms = [(p / 3) ** w * (1 - p) ** (n - w) for w in range(n + 1)]
-    return math.fsum(map(terms.__getitem__, weights.tolist()))
+    return math.fsum(chain.from_iterable(
+        map(repeat, terms, cache["_coset_weights"])))
 
 
 def _span_keys(code: AdditiveCode) -> np.ndarray:

@@ -19,7 +19,11 @@ column, and values the exact branch and the fourth moment in real
 coordinates.  `code_space_errors` holds the whole (4^n, K^2) table of code-space errors
 L^dag E L, which the library folds into its quadratic form one shift at a
 time, and `twirl` forms sum_E Pr(E) E^dag P E in the full space, which the
-library only ever forms in code-space coordinates.
+library only ever forms in code-space coordinates.  `pauli_action_gather`
+gathers an error's signs from its Hadamard row, one index per entry, where
+the library scales the whole row by one sign, and `classify_error_loop`
+takes the syndrome with one `trace_inner` call per generator, where the
+library reads parities against the code's precomputed keys.
 """
 
 from __future__ import annotations
@@ -30,16 +34,35 @@ import numpy as np
 
 from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
-from qedet.gf4 import GF4Vector, all_vectors
-from qedet.oracle import (_MOMENT_BLOCKS, MCEstimate, MomentReport,
-                          _code_space_forms, _error_table, _hadamard,
-                          _pauli_action, _range_basis, _seeded_rng,
+from qedet.gf4 import GF4Vector, all_vectors, trace_inner
+from qedet.oracle import (_MOMENT_BLOCKS, _PHASES, DETECTED, TRIVIAL,
+                          UNDETECTABLE, MCEstimate, MomentReport,
+                          _bit_reversal, _code_space_forms, _error_table,
+                          _hadamard, _pauli_action, _range_basis, _seeded_rng,
                           _sphere_batch, _split, _uniform_batch, pauli_matrix)
 
 
 def error_probability(v: GF4Vector, p: float) -> float:
     """Depolarizing-channel probability (p/3)^wt (1-p)^(n-wt) of a given error."""
     return (p / 3) ** v.weight * (1 - p) ** (v.n - v.weight)
+
+
+def pauli_action_gather(v: GF4Vector) -> tuple[np.ndarray, np.ndarray]:
+    """`_pauli_action` with the signs (-1)^|j&z| gathered from row z of the
+    Hadamard matrix at j = rows, one index per entry."""
+    rev = _bit_reversal(v.n)
+    x, z = rev[v.x], rev[v.z]
+    rows = np.arange(1 << v.n) ^ x
+    return rows, _PHASES[(x & z).bit_count() % 4] * _hadamard(v.n)[z, rows]
+
+
+def classify_error_loop(code, e: GF4Vector) -> str:
+    """`classify_error` with one trace_inner call per generator."""
+    if code.contains(e):
+        return TRIVIAL
+    if any(trace_inner(e, g) for g in code.generators):
+        return DETECTED
+    return UNDETECTABLE
 
 
 def _born_index(probs, u: float) -> int:

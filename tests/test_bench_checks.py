@@ -4,8 +4,8 @@ qedbench checks every job of its first round (for closed-form jobs: the
 float sweep against the exact rationals to a relative 1e-9, and the moment
 form against the polynomial).  Running those checks here makes a library
 change that breaks them fail the test suite, not only a benchmark run.
-The round-0 output digests at seed 1 are pinned as well, so a change that
-moves any job's output fails here too.
+The round-0 output digests at seeds 1 and 31 are pinned as well, so a
+change that moves any job's output fails here too.
 """
 
 from __future__ import annotations
@@ -45,3 +45,19 @@ def test_round0_digest_at_seed_1(workload):
     tracer = spans.NullTracer()
     text = "\n".join(job.digest(job.run(tracer)) for job in jobs)
     assert hashlib.sha256(text.encode()).hexdigest() == ROUND0_DIGESTS[workload]
+
+
+# The same at seed 31, the held-out seed of paired benchmark runs.
+ROUND0_DIGESTS_SEED_31 = {
+    "combinatorial": "d78f81c16537fcf473668861bcf50c366760fbdda726078f173dc63494e09529",
+    "dense": "af2655219e1ec1b5daac0c71fb115350cbb709ce395af7a49026dc530f27284e",
+}
+
+
+@pytest.mark.parametrize("workload", ROUND0_DIGESTS_SEED_31)
+def test_round0_digest_at_seed_31(workload):
+    jobs, _ = workloads.build(workload, 31)
+    tracer = spans.NullTracer()
+    text = "\n".join(job.digest(job.run(tracer)) for job in jobs)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == ROUND0_DIGESTS_SEED_31[workload])

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qedet import pue
 from qedet.catalog import get_code
 from qedet.enumerators import EnumeratorPair, stabilizer_enumerators
-from qedet.gf4 import AdditiveCode, GF4Vector
+from qedet.gf4 import AdditiveCode, GF4Vector, dual
 from qedet.pue import (MODES, PueResult, pue_classical, pue_composite,
                        pue_nonstabilizer, pue_stabilizer,
                        pue_stabilizer_direct, pue_via_moments, sweep,
@@ -151,6 +152,56 @@ def test_direct_coset_sum_enumeration_cap():
     gens += [GF4Vector(32, 0, 1 << i) for i in range(10)]
     with pytest.raises(ValueError, match="int64 keys"):
         pue_stabilizer_direct(AdditiveCode(32, tuple(gens)), 0.1)
+
+
+def _count_duals(monkeypatch) -> list:
+    """Record each code pue.dual is called on."""
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return dual(code)
+
+    monkeypatch.setattr(pue, "dual", counted)
+    return calls
+
+
+def test_direct_coset_sum_enumerates_each_dual_once(monkeypatch):
+    # The catalog codes called in turn over the 20-point grid: each keeps
+    # its own histogram, built on its first call.
+    calls = _count_duals(monkeypatch)
+    codes = [get_code(name) for name in CATALOG_NAMES]
+    for p in GRID:
+        for code in codes:
+            assert pue_stabilizer_direct(code, p) == coset_sum_loop(code, p)
+    assert [id(c) for c in calls] == [id(c) for c in codes]
+
+
+def test_direct_coset_sum_caps_raise_on_every_call(monkeypatch):
+    # The size checks run on every call, before any enumeration, and a
+    # failed call keeps nothing on the code.
+    calls = _count_duals(monkeypatch)
+    code = get_code("c422")  # its dual has 64 words
+    with monkeypatch.context() as m:
+        m.setattr(pue, "ENUMERATION_CAP", 32)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="enumeration cap 32"):
+                pue_stabilizer_direct(code, 0.1)
+    assert calls == []
+    assert pue_stabilizer_direct(code, 0.1) == coset_sum_loop(code, 0.1)
+    assert calls == [code]
+    with monkeypatch.context() as m:
+        m.setattr(pue, "ENUMERATION_CAP", 32)
+        with pytest.raises(ValueError, match="enumeration cap 32"):
+            pue_stabilizer_direct(code, 0.1)
+    wide = AdditiveCode(32, tuple([GF4Vector(32, 1 << i, 0) for i in range(32)]
+                                  + [GF4Vector(32, 0, 1 << i) for i in range(10)]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="enumeration cap"):
+            pue_stabilizer_direct(AdditiveCode(12, ()), 0.1)
+        with pytest.raises(ValueError, match="int64 keys"):
+            pue_stabilizer_direct(wide, 0.1)
+    assert calls == [code]
 
 
 def test_classical_repetition_code():
