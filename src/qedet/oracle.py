@@ -17,6 +17,12 @@ error E(x, z) maps |j> to i^|x&z| (-1)^|j&z| |j^x>, so
 and the traces of one operator against every error are one product of the
 gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.
 
+`code_projector` returns a read-only array.  What the oracle derives from a
+read-only array that owns its data is kept until the array dies (`_kept`):
+K = Tr P with the 4^n tables of Tr(E P) and Tr(E P E P) (`_trace_tables`),
+which the enumerators sum and each classification reads one entry of, and
+the range basis L.  Any other array is derived afresh on every call.
+
 Uniform subspace states live in K code-space coordinates.  `_range_basis`
 gives an orthonormal basis L of range(P) (L L^dag = P) by a pivoted
 Cholesky; a state is v = L u for a normalized K-dimensional complex
@@ -44,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +76,24 @@ _CHUNK_CELLS = 1 << 13
 _MOMENT_BLOCKS = 100
 
 _PHASES = np.array([1, 1j, -1, -1j])
+
+# What `_kept` keeps, by the id of a live read-only projector: {build: value}.
+_KEPT: dict[int, dict] = {}
+
+
+def _kept(p_op: DenseOperator, build):
+    """build(p_op), kept with p_op if it is a read-only array that owns its
+    data, and dropped when that array dies; any other array may change
+    between calls, so build runs every time and nothing is kept."""
+    if p_op.flags.writeable or not p_op.flags.owndata:
+        return build(p_op)
+    kept = _KEPT.get(id(p_op))
+    if kept is None:
+        kept = _KEPT[id(p_op)] = {}
+        weakref.finalize(p_op, _KEPT.pop, id(p_op), None)
+    if build not in kept:
+        kept[build] = build(p_op)
+    return kept[build]
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -203,7 +228,8 @@ def code_projector(code: AdditiveCode, cap: int = DEFAULT_ORACLE_CAP) -> DenseOp
 
     The generators commute, so the factors are commuting projectors and
     every entry is dyadic, hence exact.  Hermiticity, idempotence and
-    trace K = 2^(n-r) are checked all the same.
+    trace K = 2^(n-r) are checked all the same.  The result is read-only, so
+    the oracle keeps what it derives from it (`_kept`).
     """
     if not code.is_self_orthogonal:
         raise ValueError("code is not self-orthogonal")
@@ -218,7 +244,48 @@ def code_projector(code: AdditiveCode, cap: int = DEFAULT_ORACLE_CAP) -> DenseOp
         raise ValueError("projector is not idempotent")
     if abs(np.trace(p) - code.dim) > 1e-8:
         raise ValueError("projector has the wrong trace")
+    p.flags.writeable = False
     return p
+
+
+def _trace_tables(p_op: DenseOperator) -> tuple[float, np.ndarray, np.ndarray]:
+    """(K, Tr(E P), Tr(E P E P)) for K = Tr P and every index-form error
+    E(x, z), each table indexed [x, z] (read-only).
+
+    Both tables come from Hadamard transforms (see the module docstring).
+    Tr(E P E P) = (-1)^|x&z| sum_y (-1)^|y&z| G_x[y], and (-1)^|x&z| =
+    H[x, z].  With A = P[j^x, :], G_x[y] = sum_j A[j, j^y] A[j^y, j]: one
+    elementwise product A * A^T and one gather at the flat XOR index
+    j 2^n + (j^y) per shift x, for a run of shifts at a time, as many as
+    keep the products within _CHUNK_CELLS, and at least one.
+    """
+    n = (p_op.shape[0] - 1).bit_length()
+    h, shifts = _hadamard(n), _shifts(n)
+    j = shifts[0]
+    flat = (j[:, None] << n) + shifts
+    g = np.empty_like(p_op)
+    step = max(_CHUNK_CELLS // (2 << 2 * n), 1)
+    for lo in range(0, 1 << n, step):
+        a = p_op[shifts[lo:lo + step]]
+        g[lo:lo + step] = (a * a.transpose(0, 2, 1)).reshape(
+            len(a), -1).take(flat, axis=1).sum(axis=1)
+    # Tr(E P) = i^(3|x&z|) (P[j^x, j] H)[x, z].
+    t_ep = (_PHASES[3 * np.bitwise_count(j[:, None] & j) % 4]
+            * (p_op[shifts, j] @ h))
+    t_epep = h * (g @ h)
+    t_ep.flags.writeable = t_epep.flags.writeable = False
+    return float(p_op.trace().real), t_ep, t_epep
+
+
+def _error_traces(p_op: DenseOperator, e: GF4Vector) -> tuple[float, complex, complex]:
+    """(K, Tr(E P), Tr(E P E P)) for the word e: one lookup in each table."""
+    n = (p_op.shape[0] - 1).bit_length()
+    if e.n != n:
+        raise ValueError(f"a {e.n}-qubit error word on a {n}-qubit projector")
+    k, t_ep, t_epep = _kept(p_op, _trace_tables)
+    rev = _bit_reversal(n)
+    x, z = rev[e.x], rev[e.z]
+    return k, t_ep.item(x, z), t_epep.item(x, z)
 
 
 def enumerators_bruteforce(p_op: DenseOperator, dim: int,
@@ -228,27 +295,14 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
     weights[i]      = (1/dim^2) sum_{wt(E)=i} Tr(E P)^2
     dual_weights[i] = (1/dim)   sum_{wt(E)=i} Tr(E P E P)
 
-    Both sets of 4^n traces come from Hadamard transforms (see the module
-    docstring).  The sums are rounded to integers; residuals above 1e-6 (or
-    imaginary parts above 1e-10) raise.
+    The sums run over the tables of `_trace_tables`.  They are rounded to
+    integers; residuals above 1e-6 (or imaginary parts above 1e-10) raise.
     """
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
     _check_dim(p_op, dim)
-    h, shifts = _hadamard(n), _shifts(n)
-    j = shifts[0]
-    # Tr(E P E P) = (-1)^|x&z| sum_y (-1)^|y&z| G_x[y], and (-1)^|x&z| =
-    # H[x, z].  With A = P[j^x, :], G_x[y] = sum_j A[j, j^y] A[j^y, j]: one
-    # elementwise product A * A^T and one gather at the flat XOR index
-    # j 2^n + (j^y) per shift x, so memory stays at a few 2^n x 2^n arrays.
-    flat = (j[:, None] << n) + shifts
-    g = np.empty_like(p_op)
-    for x in j:
-        a = p_op[shifts[x]]
-        g[x] = (a * a.T).take(flat).sum(axis=0)
-    # Tr(E P) = i^(3|x&z|) (P[j^x, j] H)[x, z], and i^(6|x&z|) = H[x, z].
-    traces_sq = h * (p_op[shifts, j] @ h) ** 2
-    traces_epep = h * (g @ h)
+    _, t_ep, t_epep = _kept(p_op, _trace_tables)
+    j = np.arange(1 << n)
     wt = np.bitwise_count(j[:, None] | j).ravel()
 
     def by_weight(t: np.ndarray) -> np.ndarray:
@@ -256,8 +310,8 @@ def enumerators_bruteforce(p_op: DenseOperator, dim: int,
         return (np.bincount(wt, t.real, n + 1)
                 + 1j * np.bincount(wt, t.imag, n + 1))
 
-    b_acc = by_weight(traces_sq) / (dim * dim)
-    bp_acc = by_weight(traces_epep) / dim
+    b_acc = by_weight(t_ep ** 2) / (dim * dim)
+    bp_acc = by_weight(t_epep) / dim
     if max(np.max(np.abs(b_acc.imag)), np.max(np.abs(bp_acc.imag))) > 1e-10:
         raise ValueError("trace enumerators have nonreal parts")
     weights = np.rint(b_acc.real)
@@ -298,22 +352,17 @@ def classify_error_dense(p_op: DenseOperator, e: GF4Vector,
 
     Tr(E P E P) = ||P E P||_F^2 is 0 when E maps the subspace to its
     complement and K = Tr P when E preserves it; a preserved E acts as +-I
-    on the subspace exactly when |Tr(E P)| = K.  With E P = diag(phi) A for
-    the row gather A = P[rows] (`_pauli_action`, by `take`), the traces are
-    Tr(E P E P) = phi^T (A o A^T) phi, read once as a Python complex, and
-    Tr(E P) = phi . diag(A); K is P's own trace.
+    on the subspace exactly when |Tr(E P)| = K.  The traces are read from
+    the projector's tables (`_trace_tables`); e must have P's qubit count.
     """
     _check_cap(e.n, cap)
-    rows, phases = _pauli_action(e)
-    a = p_op.take(rows, axis=0)
-    tr_epep = complex(phases @ (a * a.T) @ phases)
+    k, tr_ep, tr_epep = _error_traces(p_op, e)
     if abs(tr_epep) < _CLASSIFY_TOL:
         return DETECTED
-    k = p_op.trace().real
     if abs(tr_epep - k) >= _CLASSIFY_TOL:
         raise ValueError("error neither preserves the subspace nor maps it "
                          "to the complement; not a valid stabilizer setup")
-    if abs(abs(phases @ a.diagonal()) - k) < _CLASSIFY_TOL:
+    if abs(abs(tr_ep) - k) < _CLASSIFY_TOL:
         return TRIVIAL
     return UNDETECTABLE
 
@@ -357,12 +406,13 @@ def _range_basis(p_op: DenseOperator) -> np.ndarray:
     if np.max(np.abs(basis.conj().T @ basis - np.eye(len(cols)))) > 1e-8:
         raise ValueError("not a projector: its Cholesky columns are not "
                          "orthonormal")
+    basis.flags.writeable = False
     return basis
 
 
 def uniform_state(p_op: DenseOperator, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample from the unit sphere of the range of a projector."""
-    return _uniform_batch(_range_basis(p_op), 1, rng)[0]
+    return _uniform_batch(_kept(p_op, _range_basis), 1, rng)[0]
 
 
 def _sphere_batch(count: int, dim: int,
@@ -492,7 +542,7 @@ def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
     sqrt(1 - 1/K) from P/K in Frobenius norm.
     """
     _check_dim(p_op, dim)
-    basis = _range_basis(p_op)
+    basis = _kept(p_op, _range_basis)
     total = 0.0
     for g, _ in _gaussian_groups(_moment_blocks(samples), dim, 2 * dim, rng):
         u = (g[0] + 1j * g[1]) / np.sqrt(np.sum(g * g, axis=(0, 1)))
@@ -597,7 +647,7 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     if n == 0:
         return MCEstimate(0.0, 0.0, samples, seed, p)
     h = _hadamard(n)
-    basis = _range_basis(p_op)
+    basis = _kept(p_op, _range_basis)
     k = basis.shape[1]
     exact_errors = _code_space_fits(n, k)
     if exact_errors:
@@ -715,7 +765,7 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
                          f"rule 4^n K^2 <= 2^16")
     probs, eye = _error_table(n, p), np.eye(dim).ravel()
     norms = traces = 0.0
-    for xs, m in _code_space_shifts(_range_basis(p_op), _hadamard(n)):
+    for xs, m in _code_space_shifts(_kept(p_op, _range_basis), _hadamard(n)):
         pr = probs[xs].ravel()
         norms += np.vdot(m, pr[:, None] * m).real  # sum Pr ||M_E||_F^2
         traces += pr @ np.abs(m @ eye) ** 2       # sum Pr |Tr M_E|^2

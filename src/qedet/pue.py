@@ -17,13 +17,16 @@ a few ulps of a compensated one.  Each grid row is checked on its own:
 rows whose terms stay in the normal float range are plain products, and
 rows whose terms leave it (coefficients beyond 2^1000 and powers that
 underflow, as for tiny p or codes with hundreds of qubits) carry each
-term as a mantissa and an exact power of two.  A row's value is therefore
-the same in any grid, and equals the single-point evaluation.  Exact
-rationals (exact=True) come from one integer numerator: with p = a/b every
-term shares the denominator (3b)^n, and p is range-checked on a and b.
-The coefficient differences, and their nonzero terms as mantissas, shifts
-and exponents n - i, are computed once per EnumeratorPair; the reference
-coset sum enumerates a code's dual coset once, into a weight histogram.
+term as a mantissa and an exact power of two; the test is one integer
+comparison of the bases' exponents against a threshold of the form's
+terms.  A row's value is therefore the same in any grid, and equals the
+single-point evaluation, which takes a one-row route on Python floats
+through the same evaluator.  Exact rationals (exact=True) come from one
+integer numerator: with p = a/b every term shares the denominator (3b)^n,
+and p is range-checked on a and b.  The coefficient differences, and
+their nonzero terms as mantissas, shifts, exponents n - i and threshold,
+are computed once per EnumeratorPair; the reference coset sum enumerates
+a code's dual coset once, into a weight histogram.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ _MAX_BITS = 1000
 
 class _Terms(NamedTuple):
     """Nonzero coefficients d_i ~ mant * 2^shift (correctly rounded), i = cols,
-    with the exponents n - cols and whether no coefficient needs a shift."""
+    with the exponents n - cols and `plain_exp`: a row is summed as plain
+    products when both bases' frexp exponents are at least plain_exp."""
 
     cols: np.ndarray
     mant: np.ndarray
     shift: np.ndarray
     rest: np.ndarray
-    unshifted: bool
+    plain_exp: float
 
 
 def _terms(diffs) -> _Terms:
@@ -64,8 +68,14 @@ def _terms(diffs) -> _Terms:
     shift = [max(diffs[i].bit_length() - _MAX_BITS, 0) for i in cols]
     mant = [diffs[i] / (1 << s) for i, s in zip(cols, shift)]
     n, cols = len(diffs) - 1, np.array(cols, dtype=np.intp)
+    # Every nonzero base is >= 2^(e-1), so every power down to base^n, and
+    # every product of two, stays normal while n (1 - e) <= 1021, that is
+    # e >= 1 - 1021 // n (any e for n = 0).  No base in [0, 1] has an
+    # exponent above 1, so 2 sends every row to the scaled form when a
+    # coefficient needs a shift.
+    plain_exp = 2 if any(shift) else 1 - 1021 // n if n else -math.inf
     return _Terms(cols, np.array(mant), np.array(shift, dtype=np.intp),
-                  n - cols, not any(shift))
+                  n - cols, plain_exp)
 
 
 def _pair_terms(pair: EnumeratorPair) -> tuple[_Terms, _Terms]:
@@ -95,16 +105,26 @@ def _scaled_pow(base: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray
             return mant, exp
 
 
-def _grid_eval(n: int, base_y: np.ndarray, forms) -> list[np.ndarray]:
+def _grid_eval(n: int, base_y, forms) -> list:
     """sum_i d_i base_y^i base_x^(n-i) over the grid, for each (terms, base_x).
 
     The bases must lie in [0, 1].  Each chunk of rows raises base_y once to
     the union of the forms' exponents.  Per form, each row whose terms all
-    stay in the normal float range is summed as plain products from that
-    table; every other row goes through _scaled_pow, which agrees with the
-    plain products wherever they stay normal.  The choice is made per row,
-    so a row's value does not depend on the other rows of the grid.
+    stay in the normal float range (`_Terms.plain_exp`) is summed as plain
+    products from that table; every other row goes through _scaled_pow,
+    which agrees with the plain products wherever they stay normal.  The
+    choice is made per row, so a row's value does not depend on the other
+    rows of the grid.  A one-point grid may be given as floats, and its
+    values come back as floats: a plain row is then the same product of
+    1-d tables, which numpy sums as it sums a grid row.
     """
+    if isinstance(base_y, float):
+        e_y = math.frexp(base_y)[1]
+        if all(min(math.frexp(x)[1], e_y) >= t.plain_exp for t, x in forms):
+            return [float((t.mant * base_y ** t.cols * x ** t.rest).sum())
+                    for t, x in forms]
+        return [float(out[0]) for out in _grid_eval(
+            n, np.array([base_y]), [(t, np.array([x])) for t, x in forms])]
     if len(forms) == 1:
         union, cols = forms[0][0].cols, [slice(None)]
     else:
@@ -114,11 +134,9 @@ def _grid_eval(n: int, base_y: np.ndarray, forms) -> list[np.ndarray]:
         union = np.flatnonzero(used)
         cols = [slice(None) if len(t.cols) == len(union)
                 else np.searchsorted(union, t.cols) for t, _ in forms]
-    # Every nonzero base is >= 2^(e-1), so every power down to base^n, and
-    # every product of two, stays normal while n (1 - e) <= 1021.
     exp_y = np.frexp(base_y)[1]
-    plain = [(n * (1 - np.minimum(np.frexp(x)[1], exp_y)) <= 1021)
-             & t.unshifted for t, x in forms]
+    plain = [np.minimum(np.frexp(x)[1], exp_y) >= t.plain_exp
+             for t, x in forms]
     outs = [np.zeros(len(base_y)) for _ in forms]
     step = max(_CHUNK_CELLS // max(len(union), 1), 1)
     for lo in range(0, len(base_y), step):
@@ -152,9 +170,10 @@ def _exact_eval(diffs, n: int, x: int, y: int, denom: int) -> Fraction:
     return Fraction(numerator, denom**n)
 
 
-def _columns(pair: EnumeratorPair, grid: np.ndarray, stabilizer: bool,
-             moments: bool) -> list[np.ndarray]:
-    """The polynomial's and/or the moment form's values over a float grid."""
+def _columns(pair: EnumeratorPair, grid, stabilizer: bool,
+             moments: bool) -> list:
+    """The polynomial's and/or the moment form's values over a float grid,
+    or at one float p (`_grid_eval`'s one-point route)."""
     stab, moment = _pair_terms(pair)
     forms = [(stab, 1 - grid)] if stabilizer else []
     if moments:
@@ -167,7 +186,7 @@ def pue_stabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
     a, b = _check_p(p)
     if exact:
         return _exact_eval(pair.weight_diffs, pair.n, 3 * (b - a), a, 3 * b)
-    return float(_columns(pair, np.array([float(p)]), True, False)[0][0])
+    return _columns(pair, float(p), True, False)[0]
 
 
 def pue_nonstabilizer(pair: EnumeratorPair, p, *, exact: bool = False):
@@ -195,7 +214,7 @@ def pue_via_moments(pair: EnumeratorPair, p, *, exact: bool = False):
     a, b = _check_p(p)
     if exact:
         return _exact_eval(pair.moment_diffs, pair.n, 3 * b - 4 * a, a, 3 * b)
-    return float(_columns(pair, np.array([float(p)]), False, True)[0][0])
+    return _columns(pair, float(p), False, True)[0]
 
 
 def pue_classical(counts, q: int, p, *, exact: bool = False):
@@ -211,8 +230,8 @@ def pue_classical(counts, q: int, p, *, exact: bool = False):
     if exact:
         a, b = Fraction(p).as_integer_ratio()
         return _exact_eval(diffs, n, (q - 1) * (b - a), a, (q - 1) * b)
-    grid = np.array([float(p)])
-    return float(_grid_eval(n, grid / (q - 1), [(_terms(diffs), 1 - grid)])[0][0])
+    p = float(p)
+    return _grid_eval(n, p / (q - 1), [(_terms(diffs), 1 - p)])[0]
 
 
 def pue_stabilizer_direct(code: AdditiveCode, p) -> float:

@@ -24,6 +24,9 @@ gathers an error's signs from its Hadamard row, one index per entry, where
 the library scales the whole row by one sign, and `classify_error_loop`
 takes the syndrome with one `trace_inner` call per generator, where the
 library reads parities against the code's precomputed keys.
+`dense_traces` and `classify_error_dense_loop` take Tr(E P) and
+Tr(E P E P) from one row gather per error, where the library looks them
+up in the projector's 4^n trace tables.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors, trace_inner
-from qedet.oracle import (_MOMENT_BLOCKS, _PHASES, DETECTED, TRIVIAL,
-                          UNDETECTABLE, MCEstimate, MomentReport,
+from qedet.oracle import (_CLASSIFY_TOL, _MOMENT_BLOCKS, _PHASES, DETECTED,
+                          TRIVIAL, UNDETECTABLE, MCEstimate, MomentReport,
                           _bit_reversal, _code_space_forms, _error_table,
                           _hadamard, _pauli_action, _range_basis, _seeded_rng,
                           _sphere_batch, _split, _uniform_batch, pauli_matrix)
@@ -62,6 +65,30 @@ def classify_error_loop(code, e: GF4Vector) -> str:
         return TRIVIAL
     if any(trace_inner(e, g) for g in code.generators):
         return DETECTED
+    return UNDETECTABLE
+
+
+def dense_traces(p_op: np.ndarray, e: GF4Vector) -> tuple[complex, complex]:
+    """Tr(E P) = phi . diag A and Tr(E P E P) = phi^T (A o A^T) phi, for the
+    row gather A = P[rows] and the phases phi of `_pauli_action`, with
+    E P = diag(phi) A."""
+    rows, phases = _pauli_action(e)
+    a = p_op[rows]
+    return (complex(phases @ a.diagonal()),
+            complex(phases @ (a * a.T) @ phases))
+
+
+def classify_error_dense_loop(p_op: np.ndarray, e: GF4Vector) -> str:
+    """`classify_error_dense` from one row gather per error, K = Tr P."""
+    tr_ep, tr_epep = dense_traces(p_op, e)
+    k = p_op.trace().real
+    if abs(tr_epep) < _CLASSIFY_TOL:
+        return DETECTED
+    if abs(tr_epep - k) >= _CLASSIFY_TOL:
+        raise ValueError("error neither preserves the subspace nor maps it "
+                         "to the complement; not a valid stabilizer setup")
+    if abs(abs(tr_ep) - k) < _CLASSIFY_TOL:
+        return TRIVIAL
     return UNDETECTABLE
 
 

@@ -3,6 +3,7 @@ classification, partial traces, subspace sampling, and the MC functionals."""
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qedet import oracle
+from qedet import cli, oracle
 from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
@@ -30,8 +31,9 @@ from qedet.oracle import (_CHUNK, _CHUNK_CELLS, _MOMENT_BLOCKS, DETECTED,
                           uniform_state, verify_mean_projector, verify_fourth_moment)
 from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
 
-from oracle_reference import (classify_error_loop, code_space_errors,
-                              composite_loop, enumerators_loop,
+from oracle_reference import (classify_error_dense_loop, classify_error_loop,
+                              code_space_errors, composite_loop,
+                              dense_traces, enumerators_loop,
                               fourth_moment_blocks, mean_projector_blocks,
                               nonstab_mc_exact_chunks, nonstab_mc_exact_loop,
                               pauli_action_gather, sampled_values_dense, twirl)
@@ -366,6 +368,124 @@ def test_classification_agreement_five13_sampled():
     for _ in range(128):
         e = GF4Vector(5, int(rng.integers(32)), int(rng.integers(32)))
         assert classify_error(code, e) == classify_error_dense(p, e)
+
+
+# --- the trace tables, and what is kept with a projector ---------------------
+
+
+def _assert_tables_equal_row_gather(code, words):
+    # Each word's table entries against one row gather, and its label
+    # against the per-error formula.
+    p_op = code_projector(code)
+    for e in words:
+        k, tr_ep, tr_epep = oracle._error_traces(p_op, e)
+        want_ep, want_epep = dense_traces(p_op, e)
+        assert k == code.dim
+        assert abs(tr_ep - want_ep) <= 1e-12, str(e)
+        assert abs(tr_epep - want_epep) <= 1e-12, str(e)
+        assert (classify_error_dense(p_op, e)
+                == classify_error_dense_loop(p_op, e)), str(e)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_trace_tables_equal_row_gather(name):
+    code = get_code(name)
+    _assert_tables_equal_row_gather(code, all_vectors(code.n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(self_orthogonal_codes(max_n=5))
+def test_trace_tables_equal_row_gather_random(code):
+    _assert_tables_equal_row_gather(code, all_vectors(code.n))
+
+
+def test_trace_tables_equal_row_gather_random_n6():
+    _assert_tables_equal_row_gather(RANDOM_N6, all_vectors(6))
+
+
+def test_classify_dense_rejects_a_word_of_another_length():
+    # A table lookup would read another error's entry for a shorter word.
+    p_op = code_projector(get_code("c422"))
+    for e in (GF4Vector.zero(3), label_to_vector("XIZ"),
+              label_to_vector("XXIIZ"), GF4Vector.zero(0)):
+        with pytest.raises(ValueError, match="error word on a 4-qubit"):
+            classify_error_dense(p_op, e)
+    empty = code_projector(AdditiveCode(0, ()))
+    assert classify_error_dense(empty, GF4Vector.zero(0)) == TRIVIAL
+    with pytest.raises(ValueError, match="1-qubit error word on a 0-qubit"):
+        classify_error_dense(empty, label_to_vector("X"))
+
+
+def test_code_projector_is_read_only():
+    p_op = code_projector(get_code("c422"))
+    assert not p_op.flags.writeable and p_op.flags.owndata
+    with pytest.raises(ValueError):
+        p_op[0, 0] = 0
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count the calls of the oracle's table and basis builders."""
+    counts = {"_trace_tables": 0, "_range_basis": 0}
+    for name in counts:
+        def counted(p_op, build=getattr(oracle, name), name=name):
+            counts[name] += 1
+            return build(p_op)
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["c422", "five13"])
+def test_verify_battery_derives_each_projector_once(name, monkeypatch):
+    # 256 classifications (every word for c422), the enumerators, the
+    # Monte Carlo functional, the composite (c422 only) and the mean
+    # projector check share one set of tables and one range basis.
+    counts = _count_builds(monkeypatch)
+    rows = dict((row[0], row[1]) for row in
+                cli._verify_checks(get_code(name), 6, 2000, 5))
+    assert rows["oracle_enumerators"] and rows["classification_agreement"]
+    assert rows["composite_functional"] is not None
+    assert counts == {"_trace_tables": 1, "_range_basis": 1}
+
+
+def test_uniform_state_derives_the_basis_once(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    p_op = code_projector(get_code("c422"))
+    rng = _rng(3)
+    for _ in range(20):
+        uniform_state(p_op, rng)
+    assert counts["_range_basis"] == 1
+    for _ in range(20):
+        uniform_state(p_op.copy(), rng)  # writeable: nothing is kept
+    assert counts["_range_basis"] == 21
+
+
+def test_kept_record_dies_with_the_projector():
+    before = set(oracle._KEPT)
+    p_op = code_projector(get_code("five13"))
+    key = id(p_op)
+    classify_error_dense(p_op, GF4Vector.zero(5))
+    uniform_state(p_op, _rng(0))
+    assert set(oracle._KEPT) - before == {key}
+    assert len(oracle._KEPT[key]) == 2  # the tables and the basis
+    del p_op
+    gc.collect()
+    assert key not in oracle._KEPT and set(oracle._KEPT) <= before
+
+
+def test_writeable_projector_gets_its_new_contents():
+    code = get_code("c422")
+    xx = label_to_vector("XXII")
+    bigger = adjoin_error(code, xx)  # XXII joins the stabilizer, K = 2
+    before = set(oracle._KEPT)
+    p_op = code_projector(code).copy()
+    assert classify_error_dense(p_op, xx) == UNDETECTABLE
+    assert enumerators_bruteforce(p_op, 4) == stabilizer_enumerators(code)
+    p_op[:] = code_projector(bigger)
+    assert classify_error_dense(p_op, xx) == TRIVIAL
+    assert enumerators_bruteforce(p_op, 2) == stabilizer_enumerators(bigger)
+    v = uniform_state(p_op, _rng(1))
+    assert np.linalg.norm(p_op @ v - v) < 1e-12
+    assert set(oracle._KEPT) <= before
 
 
 # --- partial traces ----------------------------------------------------------

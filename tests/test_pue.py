@@ -439,6 +439,31 @@ def test_sweep_rows_equal_single_point_values(name):
         assert abs(row.value - want) <= 8 * EPS * want, row
 
 
+@pytest.mark.parametrize("name", ["five13", "n96", "n600"])
+def test_one_point_values_are_their_sweep_rows(name, pairs):
+    # The one-row route against the grid path, bit for bit.  n96 takes the
+    # scaled form for p <= 0.002, and n600, whose coefficients need a
+    # shift, for every p; p = 0 and 3/4 come again as an int and a Fraction.
+    pair = pairs[name] if name in pairs else WIDE_PAIRS[name]
+    grid = GRID751 + [0, Fraction(3, 4)]
+    rows = sweep(pair, grid, ["stabilizer", "moments"])
+    assert len(rows) == 2 * len(grid)
+    for p, stab, moment in zip(grid, rows[::2], rows[1::2]):
+        assert pue_stabilizer(pair, p).hex() == stab.value.hex(), p
+        assert pue_via_moments(pair, p).hex() == moment.value.hex(), p
+
+
+def test_plain_rows_are_those_whose_terms_stay_normal():
+    # e >= plain_exp exactly when n (1 - e) <= 1021, for every frexp
+    # exponent e of a base in [0, 1]; a shifted coefficient sends every row
+    # to the scaled form.
+    e = np.arange(-1073, 2)
+    for n in range(1200):
+        t = pue._terms([0] * n + [1])
+        assert np.array_equal(e >= t.plain_exp, n * (1 - e) <= 1021), n
+    assert pue._terms([0, 1 << 1100]).plain_exp > 1
+
+
 def test_sweep_rows_match_per_row_construction():
     pair = WIDE_PAIRS["n96"]
     modes = ["moments", "composite", "moments", "nonstabilizer", "stabilizer"]
