@@ -9,8 +9,9 @@ protocol's second measurement, against (vv*, P - vv*), is the Born draw
 whose first outcome has that overlap as its probability.
 
 Trials run in chunks of `_CHUNK`.  A chunk draws, in this order, a block of
-states (2K normals each, against the range basis L of P from
-`oracle._range_basis`), a block of one error per state, a block of
+states (2K consecutive normals each, read as K complex coordinates against
+the range basis L of P from `oracle._range_basis`, as every subspace state
+of the oracle is drawn), a block of one error per state, a block of
 uniforms u1 for the first measurement and, for the nonstabilizer protocol
 only, a block of uniforms u2 for the second (one per trial, used or not),
 and then decides every trial of the chunk with row-wise array operations;

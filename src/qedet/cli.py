@@ -209,7 +209,7 @@ def _verify_checks(code: AdditiveCode, cap: int, samples: int, seed: int):
                f"{sigmas:.2f} x stderr bound")
 
     if oracle._code_space_fits(code.n, pair.dim):
-        worst_abs = max(abs(oracle.pue_composite_exact(p_op, pair.dim, p, cap)
+        worst_abs = max(abs(oracle.pue_composite_exact(p_op, pair.dim, p)
                             - pue.pue_composite(pair, p))
                         for p in (0.05, 0.3))
         yield ("composite_functional", worst_abs <= 1e-10, f"abs_err={worst_abs:.2e}")

@@ -31,18 +31,22 @@ Gaussian u, and every per-state product goes through L instead of P:
 (4^n K^2 <= 2^16, `_code_space_fits`) the exact error sum of
 `pue_nonstab_mc` is a K^2 x K^2 quadratic form G in conj(u) (x) u, and
 `pue_composite_exact` sums the tables of M_E = L^dag E L that G is built
-from.  That exact branch and the two moment checks draw a run of chunks
-per standard_normal call, in the stream order of one call per chunk, as
-many as keep each temporary within _CHUNK_CELLS = 2^13 cells, and hold
-the states coordinate-major (K x N).  The exact branch and the fourth
-moment work on the K^2 real coordinates of conj(u) u^T: K^4 real
-multiply-adds a state.
+from.
+
+Every state takes 2K consecutive normals from the stream, read as K
+(real, imaginary) pairs, so the states a generator yields do not depend
+on how they are split into calls.  The exact branch and the two moment
+checks draw runs of states, as many as keep each temporary within
+_CHUNK_CELLS = 2^13 cells and at least _CHUNK, and hold them
+coordinate-major (K x N).  The
+exact branch and the fourth moment work on the K^2 real coordinates of
+conj(u) u^T: K^4 real multiply-adds a state.
 
 Monte Carlo estimators draw from numpy's PCG64 seeded with
 SeedSequence(seed, spawn_key=(0,)) (`_seeded_rng`), so results are
-reproducible for a fixed seed.  `pue_nonstab_mc` draws in chunks of
-`_CHUNK`: a block of states, then (when the error sum is sampled) a block
-of errors; chunk sums enter the estimate in chunk order.
+reproducible for a fixed seed.  When its error sum is sampled,
+`pue_nonstab_mc` draws in chunks of `_CHUNK`: a block of states, then a
+block of one error per state.
 """
 
 from __future__ import annotations
@@ -72,8 +76,6 @@ _CHUNK = 256
 # cells): 2^13 float64 cells keep every temporary at 64 KiB, under glibc's
 # 128 KiB mmap threshold.
 _CHUNK_CELLS = 1 << 13
-# Most blocks a moment check draws its samples in (bounds its memory).
-_MOMENT_BLOCKS = 100
 
 _PHASES = np.array([1, 1j, -1, -1j])
 
@@ -126,15 +128,11 @@ def _check_p(p) -> tuple[int, int]:
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
-    """The generator of a seeded estimate; spawn key (0,) keeps the stream
-    of the first shard of earlier, sharded releases."""
+    """The generator of a seeded estimate; spawn key (0,) keeps its stream
+    apart from the SeedSequence(seed) stream of a verify battery run with
+    the same seed."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(0,))))
-
-
-def _split(total: int, parts: int) -> list[int]:
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 def _reverse_bits(a: int, n: int) -> int:
@@ -418,8 +416,9 @@ def uniform_state(p_op: DenseOperator, rng: np.random.Generator) -> np.ndarray:
 def _sphere_batch(count: int, dim: int,
                   rng: np.random.Generator) -> np.ndarray:
     """(count, dim) array of uniform samples from the unit sphere of C^dim:
-    standard complex Gaussians (2 dim normals each), normalized row by row."""
-    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    standard complex Gaussians, each from 2 dim consecutive normals read as
+    (real, imaginary) pairs, normalized row by row."""
+    g = rng.standard_normal((count, dim, 2)).view(complex)[..., 0]
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 
@@ -453,28 +452,19 @@ class MomentReport:
         return self.deviation <= band * self.sigma
 
 
-def _gaussian_groups(sizes: list[int], dim: int, cells: int,
+def _gaussian_groups(total: int, dim: int, cells: int,
                      rng: np.random.Generator):
     """(2, dim, N) real and imaginary parts, one column per state, of the
-    Gaussians that `_sphere_batch` calls for sizes[0], sizes[1], ... states
-    would draw.
-
-    Yields (g, count) per run of `count` equal sizes, drawn in one
-    standard_normal call in the same stream order: for each chunk of c
-    states, c * dim real parts, then c * dim imaginary parts.  A run holds
-    as many chunks as keep N * max(cells, 2 dim) within _CHUNK_CELLS, and at
-    least one.
-    """
-    cells = max(cells, 2 * dim)
-    i = 0
-    while i < len(sizes):
-        c, count = sizes[i], 1
-        while (i + count < len(sizes) and sizes[i + count] == c
-               and (count + 1) * c * cells <= _CHUNK_CELLS):
-            count += 1
-        g = rng.standard_normal(2 * count * c * dim).reshape(count, 2, c, dim)
-        yield g.transpose(1, 3, 0, 2).reshape(2, dim, count * c), count
-        i += count
+    Gaussians of `total` states, drawn as `_sphere_batch` draws them, in
+    runs of N states that keep N * max(cells, 2 dim) within _CHUNK_CELLS,
+    but at least _CHUNK: narrower runs make the K^2 x K^2 products of
+    large K slower."""
+    if total < 1:
+        raise ValueError(f"a check needs at least 1 sample, not {total}")
+    step = max(_CHUNK_CELLS // max(cells, 2 * dim), _CHUNK)
+    for done in range(0, total, step):
+        g = rng.standard_normal((min(step, total - done), dim, 2))
+        yield np.ascontiguousarray(g.transpose(2, 1, 0))
 
 
 @functools.cache
@@ -524,19 +514,11 @@ def _hermitian_frame(k: int) -> np.ndarray:
     return frame
 
 
-def _moment_blocks(total: int) -> list[int]:
-    """The sizes of the at most _MOMENT_BLOCKS blocks a moment check draws
-    its states in; they fix the order in which the stream is consumed."""
-    if total < 1:
-        raise ValueError(f"a moment check needs at least 1 sample, not {total}")
-    return _split(total, min(_MOMENT_BLOCKS, total))
-
-
 def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
                           rng: np.random.Generator) -> MomentReport:
     """Check that the mean outer product of uniform subspace states is P/K.
 
-    Each run of blocks (`_gaussian_groups`) adds U U^dag for its (K, N)
+    Each run of states (`_gaussian_groups`) adds U U^dag for its (K, N)
     code-space states U, and the mean L (sum u u^dag / N) L^dag is compared
     with P/K in the full space, so P stays in the check.  One state lies
     sqrt(1 - 1/K) from P/K in Frobenius norm.
@@ -544,7 +526,7 @@ def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
     _check_dim(p_op, dim)
     basis = _kept(p_op, _range_basis)
     total = 0.0
-    for g, _ in _gaussian_groups(_moment_blocks(samples), dim, 2 * dim, rng):
+    for g in _gaussian_groups(samples, dim, 2 * dim, rng):
         u = (g[0] + 1j * g[1]) / np.sqrt(np.sum(g * g, axis=(0, 1)))
         total = total + u @ u.conj().T
     mean = basis @ (total / samples) @ basis.conj().T
@@ -560,17 +542,16 @@ def verify_fourth_moment(dim: int, samples: int,
     and swap operators span the unitarily invariant subspace.  Its entry
     [(a, b), (c, d)] is the mean of H_ac H_bd for H = v v^dag, and
     vec(H) = conj(B q) for the real coordinates q of `_hermitian_coordinates`:
-    each run of blocks adds Q Q^T, K^4 real multiply-adds a state.  One
+    each run of states adds Q Q^T, K^4 real multiply-adds a state.  One
     sample lies sqrt(1 - 2/(K (K + 1))) from the target in Frobenius norm.
     """
-    blocks = _moment_blocks(samples)
     swap = np.zeros((dim * dim, dim * dim))
     for i in range(dim):
         for j in range(dim):
             swap[i * dim + j, j * dim + i] = 1
     target = (np.eye(dim * dim) + swap) / (dim * (dim + 1))
     total = 0.0
-    for g, _ in _gaussian_groups(blocks, dim, dim * dim, rng):
+    for g in _gaussian_groups(samples, dim, dim * dim, rng):
         q = _hermitian_coordinates(g)
         total = total + q @ q.T
     frame = _hermitian_frame(dim).conj()
@@ -630,12 +611,11 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     and n = 5, 6, 7, 8 with K <= 8, 4, 2, 1), and sampled from the channel
     otherwise.  The identity error term is identically zero (P v = v on the
     subspace) and is skipped, so p = 0 gives exactly 0, as does n = 0, where
-    no other error exists.  States are drawn in chunks of `_CHUNK`.  When
-    the error sum is sampled, a chunk's block of states is followed by a
-    block of one error per state.  When it is exact, runs of chunks are
-    drawn at once (`_gaussian_groups`), and a state costs one real
-    K^2 x K^2 product on its real coordinates.  Chunk sums enter the mean
-    and variance in chunk order.
+    no other error exists.  When the error sum is sampled, states are
+    drawn in chunks of `_CHUNK`, each followed by a block of one error per
+    state.  When it is exact, runs of states are drawn at once
+    (`_gaussian_groups`), and a state costs one real K^2 x K^2 product on
+    its real coordinates.
     """
     _check_p(p)
     if samples < 1:
@@ -661,27 +641,22 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         c_vec = (frame.T @ m_code.ravel()).real
         s_mat = (frame.T @ g_op @ frame.conj()).real
 
-    def chunk_values(rng: np.random.Generator):
-        """The values of the states, one (chunks, states) array per run."""
+    def values(rng: np.random.Generator):
+        """The values of the states, one array per chunk or run."""
         if not exact_errors:
             for done in range(0, samples, _CHUNK):
                 v = _uniform_batch(basis, min(_CHUNK, samples - done), rng)
                 yield _sampled_values(basis, h, v,
-                                      *_sample_errors(n, p, rng, len(v)))[None]
+                                      *_sample_errors(n, p, rng, len(v)))
             return
-        sizes = [min(_CHUNK, samples - done)
-                 for done in range(0, samples, _CHUNK)]
-        for g, count in _gaussian_groups(sizes, k, k * k, rng):
+        for g in _gaussian_groups(samples, k, k * k, rng):
             q = _hermitian_coordinates(g)
-            yield (c_vec @ q - np.sum(q * (s_mat @ q), axis=0)).reshape(count, -1)
+            yield c_vec @ q - np.sum(q * (s_mat @ q), axis=0)
 
     n_sum = sq_sum = 0.0
-    for vals in chunk_values(_seeded_rng(seed)):
-        # One reduction per run; its chunk sums enter in chunk order.
-        for s, sq in zip(vals.sum(axis=1).tolist(),
-                         (vals * vals).sum(axis=1).tolist()):
-            n_sum += s
-            sq_sum += sq
+    for vals in values(_seeded_rng(seed)):
+        n_sum += float(vals.sum())
+        sq_sum += float((vals * vals).sum())
 
     mean = n_sum / samples
     var = (max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
@@ -745,19 +720,18 @@ def _sampled_values(basis: np.ndarray, hadamard: np.ndarray, v: np.ndarray,
     return np.where((x | z) == 0, 0.0, vals)
 
 
-def pue_composite_exact(p_op: DenseOperator, dim: int, p: float,
-                        cap: int = DEFAULT_ORACLE_CAP) -> float:
+def pue_composite_exact(p_op: DenseOperator, dim: int, p: float) -> float:
     """Deterministic evaluation of the entangled-transmission functional.
 
     Sums Pr(E) ||(I - bb*)(P x I)(E x I) b||^2 over all errors for the
     completely entangled state b = vec(L)/sqrt(K) between the subspace and a
     K-dimensional reference system.  For M_E = L^dag E L the terms are
     ||M_E||_F^2/K - |Tr M_E|^2/K^2, read off the tables of
-    `_code_space_shifts` without forming G.  Needs 4^n K^2 <= 2^16.
+    `_code_space_shifts` without forming G.  Needs 4^n K^2 <= 2^16, which
+    bounds the work, so no qubit cap applies.
     """
     _check_p(p)
     n = (p_op.shape[0] - 1).bit_length()
-    _check_cap(n, cap)
     _check_dim(p_op, dim)
 
     if not _code_space_fits(n, dim):

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf4 import ENUMERATION_CAP, AdditiveCode, dual
-from .enumerators import EnumeratorPair, _span
+from .enumerators import EnumeratorPair, hamming_weights
 from .oracle import _CHUNK_CELLS, _check_p
 
 MODES = ("stabilizer", "nonstabilizer", "composite", "moments")
@@ -238,36 +238,27 @@ def pue_stabilizer_direct(code: AdditiveCode, p) -> float:
     """Reference evaluation summing Pr(E) over dual words outside the code.
 
     Enumerates the dual element by element instead of using the weight
-    distributions; used to cross-check the polynomial form.  Words are int64
-    keys x | z << n spanned by XOR-doubling over the generators, so n <= 31;
-    a self-orthogonal code whose dual is under the cap has n <= 22.  The
-    dual coset is enumerated once per code: the weight histogram of its
-    words is kept on the code, and a call sums each word's Python-float
+    distributions; used to cross-check the polynomial form.  The code lies
+    in its dual, so the weight histogram of the dual coset is that of the
+    dual less that of the code, both from `hamming_weights`.  It is built
+    once per code and kept on it, and a call sums each word's Python-float
     term, once per word, so the compensated sum is that of the word list.
     """
     _check_p(p)
-    n, size = code.n, 1 << (2 * code.n - code.rank)  # the dual's size
+    size = 1 << (2 * code.n - code.rank)  # the dual's size
     if size > ENUMERATION_CAP:
         raise ValueError(f"code has {size} elements, "
                          f"beyond the enumeration cap {ENUMERATION_CAP}")
-    if n > 31:
-        raise ValueError(f"words of {n} qubits do not fit int64 keys")
-    cache = vars(code)
+    if not code.is_self_orthogonal:
+        raise ValueError("code is not self-orthogonal")
+    n, cache = code.n, vars(code)
     if "_coset_weights" not in cache:
-        words, inside = _span_keys(dual(code)), np.sort(_span_keys(code))
-        at = np.minimum(np.searchsorted(inside, words), len(inside) - 1)
-        words = words[inside[at] != words]
-        weights = np.bitwise_count((words & ((1 << n) - 1)) | (words >> n))
-        cache["_coset_weights"] = np.bincount(weights, minlength=n + 1).tolist()
+        cache["_coset_weights"] = [
+            a - b for a, b in zip(hamming_weights(dual(code)).counts,
+                                  hamming_weights(code).counts)]
     terms = [(p / 3) ** w * (1 - p) ** (n - w) for w in range(n + 1)]
     return math.fsum(chain.from_iterable(
         map(repeat, terms, cache["_coset_weights"])))
-
-
-def _span_keys(code: AdditiveCode) -> np.ndarray:
-    """Keys x | z << n of all 2^r words of a code, as int64."""
-    return _span(np.array([g.x | g.z << code.n for g in code.generators],
-                          dtype=np.int64))
 
 
 class PueResult(NamedTuple):

@@ -11,12 +11,12 @@ forms it is checked against: one row gather per error
 errors, u1, then u2 for the nonstabilizer protocol) and plays each trial on
 its own, measuring against (P, I - P) and then (vv*, P - vv*) with dense
 projectors, each measurement replaying its pre-drawn uniform.
-`nonstab_mc_exact_chunks`, `mean_projector_blocks` and
-`fourth_moment_blocks` draw each chunk or block of states with its own
-`_sphere_batch` call and hold the states row by row, in complex
-coordinates, where the library draws runs of chunks at once, column by
-column, and values the exact branch and the fourth moment in real
-coordinates.  `code_space_errors` holds the whole (4^n, K^2) table of code-space errors
+`nonstab_mc_exact_complex`, `mean_projector_complex` and
+`fourth_moment_complex` draw all states of a check with one
+`_sphere_batch` call and hold them row by row, in complex coordinates,
+where the library draws runs of states, column by column, and values the
+exact branch and the fourth moment in real coordinates.
+`code_space_errors` holds the whole (4^n, K^2) table of code-space errors
 L^dag E L, which the library folds into its quadratic form one shift at a
 time, and `twirl` forms sum_E Pr(E) E^dag P E in the full space, which the
 library only ever forms in code-space coordinates.  `pauli_action_gather`
@@ -38,11 +38,11 @@ import numpy as np
 from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors, trace_inner
-from qedet.oracle import (_CLASSIFY_TOL, _MOMENT_BLOCKS, _PHASES, DETECTED,
-                          TRIVIAL, UNDETECTABLE, MCEstimate, MomentReport,
+from qedet.oracle import (_CLASSIFY_TOL, _PHASES, DETECTED, TRIVIAL,
+                          UNDETECTABLE, MCEstimate, MomentReport,
                           _bit_reversal, _code_space_forms, _error_table,
                           _hadamard, _pauli_action, _range_basis, _seeded_rng,
-                          _sphere_batch, _split, _uniform_batch, pauli_matrix)
+                          _sphere_batch, _uniform_batch, pauli_matrix)
 
 
 def error_probability(v: GF4Vector, p: float) -> float:
@@ -137,72 +137,53 @@ def sample_errors_loop(n: int, p: float, rng: np.random.Generator,
     return errors
 
 
-def _block_moment(sample_block, target: np.ndarray, total: int,
-                  unit_var: float) -> MomentReport:
-    """A moment check from its block sums: sample_block(m) returns the sum
-    of m fresh samples, for each of the at most _MOMENT_BLOCKS blocks in
-    order."""
-    if total < 1:
-        raise ValueError(f"a moment check needs at least 1 sample, not {total}")
-    full = 0.0
-    for m in _split(total, min(_MOMENT_BLOCKS, total)):
-        full = full + sample_block(m)
+def _moment(full: np.ndarray, target: np.ndarray, total: int,
+            unit_var: float) -> MomentReport:
+    """A moment check from the sum `full` of its `total` samples."""
     return MomentReport(float(np.linalg.norm(full / total - target)),
                         math.sqrt(unit_var / total), total)
 
 
-def mean_projector_blocks(p_op: np.ndarray, dim: int, samples: int,
-                          rng: np.random.Generator) -> MomentReport:
-    """`oracle.verify_mean_projector` block by block: each block sum is
-    L (sum u u^dag) L^dag over the block's state-major draws u."""
+def mean_projector_complex(p_op: np.ndarray, dim: int, samples: int,
+                           rng: np.random.Generator) -> MomentReport:
+    """`oracle.verify_mean_projector` from L (sum u u^dag) L^dag over
+    state-major draws u."""
     basis = _range_basis(p_op)
-
-    def block(count: int) -> np.ndarray:
-        u = _sphere_batch(count, basis.shape[1], rng)
-        return basis @ (u.T @ u.conj()) @ basis.conj().T
-
-    return _block_moment(block, p_op / dim, samples, 1 - 1 / dim)
+    u = _sphere_batch(samples, basis.shape[1], rng)
+    return _moment(basis @ (u.T @ u.conj()) @ basis.conj().T, p_op / dim,
+                   samples, 1 - 1 / dim)
 
 
-def fourth_moment_blocks(dim: int, samples: int,
-                         rng: np.random.Generator) -> MomentReport:
-    """`oracle.verify_fourth_moment` block by block: each block sum is
-    sum y y^dag over y = v (x) v in complex coordinates."""
+def fourth_moment_complex(dim: int, samples: int,
+                          rng: np.random.Generator) -> MomentReport:
+    """`oracle.verify_fourth_moment` from sum y y^dag over y = v (x) v in
+    complex coordinates."""
     swap = np.zeros((dim * dim, dim * dim))
     for i in range(dim):
         for j in range(dim):
             swap[i * dim + j, j * dim + i] = 1
     target = (np.eye(dim * dim) + swap) / (dim * (dim + 1))
-
-    def block(count: int) -> np.ndarray:
-        v = _sphere_batch(count, dim, rng)
-        u = np.einsum("ni,nj->nij", v, v).reshape(count, dim * dim)
-        return u.T @ u.conj()
-
-    return _block_moment(block, target, samples, 1 - 2 / (dim * (dim + 1)))
+    v = _sphere_batch(samples, dim, rng)
+    y = np.einsum("ni,nj->nij", v, v).reshape(samples, dim * dim)
+    return _moment(y.T @ y.conj(), target, samples, 1 - 2 / (dim * (dim + 1)))
 
 
-def nonstab_mc_exact_chunks(p_op: np.ndarray, p: float, samples: int,
-                            seed: int = 0) -> MCEstimate:
-    """The exact branch of `oracle.pue_nonstab_mc` chunk by chunk, in
-    complex coordinates: u^dag (L^dag T L) u - y^T G conj(y) with
-    y = conj(u) (x) u for each state u of a chunk."""
+def nonstab_mc_exact_complex(p_op: np.ndarray, p: float, samples: int,
+                             seed: int = 0) -> MCEstimate:
+    """The exact branch of `oracle.pue_nonstab_mc` in complex coordinates:
+    u^dag (L^dag T L) u - y^T G conj(y) with y = conj(u) (x) u for each
+    state u."""
     n = (p_op.shape[0] - 1).bit_length()
     basis = _range_basis(p_op)
     k = basis.shape[1]
     m_code, g_op = _code_space_forms(basis, _error_table(n, p), _hadamard(n))
-    n_sum = sq_sum = 0.0
-    rng = _seeded_rng(seed)
-    for done in range(0, samples, _CHUNK):
-        u = _sphere_batch(min(_CHUNK, samples - done), k, rng)
-        y = (u.conj()[:, :, None] * u[:, None, :]).reshape(len(u), -1)
-        vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
-                - np.sum((y @ g_op) * y.conj(), axis=1).real)
-        n_sum += float(np.sum(vals))
-        sq_sum += float(np.sum(vals * vals))
-    mean = n_sum / samples
-    var = (max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
-           if samples > 1 else 0.0)
+    u = _sphere_batch(samples, k, _seeded_rng(seed))
+    y = (u.conj()[:, :, None] * u[:, None, :]).reshape(samples, -1)
+    vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
+            - np.sum((y @ g_op) * y.conj(), axis=1).real)
+    mean = float(np.sum(vals)) / samples
+    var = (max(float(np.sum(vals * vals)) - samples * mean * mean, 0.0)
+           / (samples - 1) if samples > 1 else 0.0)
     return MCEstimate(mean, math.sqrt(var / samples), samples, seed, p)
 
 
@@ -246,9 +227,7 @@ def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
     product per error over all the states."""
     n = (p_op.shape[0] - 1).bit_length()
     basis = _range_basis(p_op)
-    rng = _seeded_rng(seed)
-    v = np.concatenate([_uniform_batch(basis, min(_CHUNK, samples - done), rng)
-                        for done in range(0, samples, _CHUNK)])
+    v = _uniform_batch(basis, samples, _seeded_rng(seed))
     vals = np.zeros(len(v))
     for e in all_vectors(n):
         if e.is_zero:

@@ -5,7 +5,8 @@ float sweep against the exact rationals to a relative 1e-9, and the moment
 form against the polynomial).  Running those checks here makes a library
 change that breaks them fail the test suite, not only a benchmark run.
 The round-0 output digests at seeds 1 and 31 are pinned as well, so a
-change that moves any job's output fails here too.
+change that moves any job's output fails here too; those rounds run every
+job's check first.
 """
 
 from __future__ import annotations
@@ -32,32 +33,41 @@ def test_benchmark_job_checks_pass(workload, tiny):
 
 
 # sha256 of the first round's job digests at seed 1, as qedbench/run.py
-# prints them.
+# prints them.  The dense digests date from the draw order in which each
+# subspace state is 2K consecutive normals (real, imaginary pairs): the
+# simulate jobs and the verify jobs' sampled checks read those states.
 ROUND0_DIGESTS = {
     "combinatorial": "610f24ce09d7390c3b38498189258cf7615d11ff28423088c60da1404fe3b8c2",
-    "dense": "184aac66be2b4c68ac6576d36ea1bc05b88641079aae8593ce6a48fdeb675d12",
+    "dense": "ed86947ee0b411179b3c94d9e0783d40ca0e1580d1e819919c19059ba402fb63",
 }
+
+
+def _round0_digest(workload: str, seed: int) -> str:
+    """sha256 of the first round's job digests, after checking that every
+    job passes its own check, so a pinned digest is never that of a
+    failing output."""
+    jobs, _ = workloads.build(workload, seed)
+    tracer = spans.NullTracer()
+    digests = []
+    for job in jobs:
+        out = job.run(tracer)
+        assert job.check(out) == [], (job.kind, job.label)
+        digests.append(job.digest(out))
+    return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("workload", ROUND0_DIGESTS)
 def test_round0_digest_at_seed_1(workload):
-    jobs, _ = workloads.build(workload, 1)
-    tracer = spans.NullTracer()
-    text = "\n".join(job.digest(job.run(tracer)) for job in jobs)
-    assert hashlib.sha256(text.encode()).hexdigest() == ROUND0_DIGESTS[workload]
+    assert _round0_digest(workload, 1) == ROUND0_DIGESTS[workload]
 
 
 # The same at seed 31, the held-out seed of paired benchmark runs.
 ROUND0_DIGESTS_SEED_31 = {
     "combinatorial": "d78f81c16537fcf473668861bcf50c366760fbdda726078f173dc63494e09529",
-    "dense": "af2655219e1ec1b5daac0c71fb115350cbb709ce395af7a49026dc530f27284e",
+    "dense": "7669c9f3105ac739978ec9f23946b830c92935ab77aaca3d949bf8462a3a357a",
 }
 
 
 @pytest.mark.parametrize("workload", ROUND0_DIGESTS_SEED_31)
 def test_round0_digest_at_seed_31(workload):
-    jobs, _ = workloads.build(workload, 31)
-    tracer = spans.NullTracer()
-    text = "\n".join(job.digest(job.run(tracer)) for job in jobs)
-    assert (hashlib.sha256(text.encode()).hexdigest()
-            == ROUND0_DIGESTS_SEED_31[workload])
+    assert _round0_digest(workload, 31) == ROUND0_DIGESTS_SEED_31[workload]

@@ -265,20 +265,20 @@ def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys,
     # is sampled only where the code-space error table is large
     # (4^n K^2 > 2^16), so this is a [[7,2,2]] code (K = 4) whose
     # undetected errors are rare: one weight-2 logical operator.  This
-    # seed's estimate lies 5.53 of its own stderrs from the closed form,
-    # and 2.53 times the variance bound.
+    # seed's estimate lies 8.58 of its own stderrs from the closed form,
+    # and 3.00 times the variance bound.
     c72 = tmp_path / "c72.code"
     c72.write_text("n=7 k=2\nZIZXYZX\nZXIZIZZ\nIIIXYXZ\nXIYZYIY\nIYYIXYZ\n")
     monkeypatch.setenv("QED_ORACLE_CAP", "7")
     code, out, _ = run(capsys, "verify", str(c72), "--samples", "10000",
-                       "--seed", "104")
+                       "--seed", "562")
     assert code == 0
-    assert "uniform_functional_mc,PASS,2.53 x stderr bound" in out
+    assert "uniform_functional_mc,PASS,3.00 x stderr bound" in out
     # 4^7 K^2 = 2^18 is beyond the exact code-space rule.
     assert "\ncomposite_functional,SKIP," in out
     c = parse_code(c72.read_text())
     est = pue_nonstab_mc(code_projector(c, cap=7), c.dim, 0.1, 10000,
-                         seed=104, cap=7)
+                         seed=562, cap=7)
     target = pue_nonstabilizer(stabilizer_enumerators(c), 0.1)
     assert abs(est.estimate - target) > 5 * est.stderr
 

@@ -1,5 +1,5 @@
-"""The demos that walk through the sweep, enumerator and subspace-sampling
-API run cleanly."""
+"""The demos that walk through the sweep, enumerator, subspace-sampling and
+protocol-simulation API run cleanly."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name", ["undetected_error_sweep.py",
                                   "weight_enumerators.py",
-                                  "subspace_sampling.py"])
+                                  "subspace_sampling.py",
+                                  "protocol_simulation.py"])
 def test_demo_exits_0(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -18,12 +18,12 @@ from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
                        label_to_vector, trace_inner)
-from qedet.oracle import (_CHUNK, _CHUNK_CELLS, _MOMENT_BLOCKS, DETECTED,
+from qedet.oracle import (_CHUNK, _CHUNK_CELLS, DETECTED,
                           TRIVIAL, UNDETECTABLE, MomentReport,
                           _code_space_forms, _error_table, _gaussian_groups,
                           _hadamard, _hermitian_coordinates, _hermitian_frame,
                           _pauli_action, _range_basis, _reverse_bits, _sample_errors,
-                          _sampled_values, _seeded_rng, _split, _uniform_batch,
+                          _sampled_values, _seeded_rng, _sphere_batch, _uniform_batch,
                           classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
@@ -34,8 +34,8 @@ from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
 from oracle_reference import (classify_error_dense_loop, classify_error_loop,
                               code_space_errors, composite_loop,
                               dense_traces, enumerators_loop,
-                              fourth_moment_blocks, mean_projector_blocks,
-                              nonstab_mc_exact_chunks, nonstab_mc_exact_loop,
+                              fourth_moment_complex, mean_projector_complex,
+                              nonstab_mc_exact_complex, nonstab_mc_exact_loop,
                               pauli_action_gather, sampled_values_dense, twirl)
 from test_gf4 import _random_code, self_orthogonal_codes
 
@@ -667,15 +667,12 @@ def test_within_is_deterministic_without_sampling_spread():
                          ids=["bell", "c422", "five13", "random-n6-r4"])
 def test_mean_projector_block_equals_dense_outer_products(code):
     # The library sums u u^dag in K code-space coordinates and maps the
-    # mean through L; the reference takes the same states in full space,
-    # v = L u, block by block, and sums v v^dag.
+    # mean through L; the reference draws the same states in full space,
+    # v = L u, in one call, and sums v v^dag.
     p_op = code_projector(code)
     report = verify_mean_projector(p_op, code.dim, 200, _rng(15))
-    rng, basis, acc = _rng(15), _range_basis(p_op), 0.0
-    for m in _split(200, _MOMENT_BLOCKS):
-        w = _uniform_batch(basis, m, rng)
-        acc = acc + w.T @ w.conj()
-    want = np.linalg.norm(acc / 200 - p_op / code.dim)
+    w = _uniform_batch(_range_basis(p_op), 200, _rng(15))
+    want = np.linalg.norm(w.T @ w.conj() / 200 - p_op / code.dim)
     assert report.deviation == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -740,49 +737,47 @@ def _same_report(got: MomentReport, want: MomentReport) -> None:
 @pytest.mark.parametrize("total", sorted({2, 3, 99, 100, 101, 150, 1234,
                                            20000, *TOTALS}))
 def test_streaming_jackknife_equals_block_list(total):
-    # The library draws runs of blocks at once, column by column, and sums
-    # the runs; the references draw and sum block by block, row by row.
+    # The library draws runs of states, column by column, and sums the
+    # runs; the references draw every state in one call, row by row.
     # verify_mean_projector then verify_fourth_moment run on one generator,
     # as in the verify battery, which must end in the references' state.
-    # Totals not divisible by the block count give unequal blocks.
     for p_op, k in DIFFERENTIAL.values():
         if not _affordable(k, total):
             continue
         got_rng, want_rng = _rng(total), _rng(total)
         _same_report(verify_mean_projector(p_op, k, total, got_rng),
-                     mean_projector_blocks(p_op, k, total, want_rng))
+                     mean_projector_complex(p_op, k, total, want_rng))
         _same_report(verify_fourth_moment(k, total, got_rng),
-                     fourth_moment_blocks(k, total, want_rng))
+                     fourth_moment_complex(k, total, want_rng))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
 def test_gaussian_groups_follow_the_block_stream(dim):
-    # Runs of chunks come from one standard_normal call each, in the stream
-    # order of separate (c, K) real and (c, K) imaginary draws per chunk,
-    # and every run is as long as its equal sizes and the cell budget allow.
+    # A state is 2K consecutive normals, so a stream's states do not depend
+    # on how they are split into calls: runs of any width and _sphere_batch
+    # calls of any sizes give the same states, and a run's columns are
+    # _sphere_batch's states before normalisation.
     for total in TOTALS:
-        chunks = [min(_CHUNK, total - d) for d in range(0, total, _CHUNK)]
-        for sizes in (chunks, _split(total, min(_MOMENT_BLOCKS, total))):
-            for width in (1, dim * dim):
-                got_rng, want_rng = _rng(total), _rng(total)
-                groups = list(_gaussian_groups(sizes, dim, width, got_rng))
-                cells = max(width, 2 * dim)  # the draw holds 2 dim per state
-                i = 0
-                for g, count in groups:
-                    run = sizes[i:i + count]
-                    assert set(run) == {run[0]}
-                    assert g.shape == (2, dim, sum(run))
-                    assert count == 1 or sum(run) * cells <= _CHUNK_CELLS
-                    i += count
-                    assert (i == len(sizes) or sizes[i] != run[0]
-                            or (sum(run) + run[0]) * cells > _CHUNK_CELLS)
-                assert i == len(sizes)
-                want = [[want_rng.standard_normal((c, dim)).T
-                         for _ in range(2)] for c in sizes]
-                assert np.array_equal(np.concatenate([g for g, _ in groups], 2),
-                                      np.concatenate(want, axis=2))
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        want_rng = _rng(total)
+        want = _sphere_batch(total, dim, want_rng)
+        cuts = sorted(random.Random(total).choices(range(total + 1), k=3))
+        rng = _rng(total)
+        parts = [_sphere_batch(b - a, dim, rng)
+                 for a, b in zip([0, *cuts], [*cuts, total])]
+        assert np.array_equal(np.concatenate(parts), want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        for width in (1, dim * dim, _CHUNK_CELLS + 1):
+            rng = _rng(total)
+            groups = list(_gaussian_groups(total, dim, width, rng))
+            step = max(_CHUNK_CELLS // max(width, 2 * dim), _CHUNK)
+            assert [g.shape for g in groups] == [
+                (2, dim, min(step, total - d)) for d in range(0, total, step)]
+            assert all(g.flags.c_contiguous for g in groups)
+            g = np.concatenate(groups, axis=2)
+            u = np.ascontiguousarray((g[0] + 1j * g[1]).T)
+            assert np.array_equal(u / np.linalg.norm(u, axis=1)[:, None], want)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
@@ -1007,43 +1002,47 @@ def test_pue_nonstab_mc_exact_branch_generic_projector():
     assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
 
 
+def _mean_square(est) -> float:
+    """The mean square of an estimate's values, from its mean and stderr."""
+    return est.estimate ** 2 + est.stderr ** 2 * (est.samples - 1)
+
+
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_branch_equals_chunk_reference(name):
-    # Runs of chunks in real coordinates against the chunk-by-chunk
-    # complex form.  The stderr sqrt((mean square - mean^2) / (N - 1) / N)
+    # Runs of states in real coordinates against the complex form over
+    # all states at once.  The stderr sqrt((mean square - mean^2) / (N - 1) / N)
     # loses (mean / spread)^2 in relative precision, and is rounding noise
     # where every state has the same value (bell, five13, trivial-n1); so
     # the mean and the mean square it comes from are compared.
-    def mean_square(est):
-        return est.estimate ** 2 + est.stderr ** 2 * (est.samples - 1)
-
     p_op, k = DIFFERENTIAL[name]
     for total in filter(partial(_affordable, k), TOTALS):
         got = pue_nonstab_mc(p_op, k, 0.2, total, seed=total)
-        want = nonstab_mc_exact_chunks(p_op, 0.2, total, seed=total)
+        want = nonstab_mc_exact_complex(p_op, 0.2, total, seed=total)
         assert got.estimate == pytest.approx(want.estimate, rel=1e-12,
                                              abs=1e-15)
-        assert mean_square(got) == pytest.approx(mean_square(want),
+        assert _mean_square(got) == pytest.approx(_mean_square(want),
                                                  rel=1e-12, abs=1e-15)
         assert got.samples == total
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_branch_runs_are_invisible(name, monkeypatch):
-    # A state's value does not depend on the run it is drawn in, and the
-    # chunk sums enter the totals in chunk order, so runs of chunks and
-    # one chunk per run (a width beyond the cell budget) give identical
-    # results.
-    def one_chunk_runs(sizes, dim, cells, rng):
-        return _gaussian_groups(sizes, dim, _CHUNK_CELLS + 1, rng)
-
+    # A state's value does not depend on the run it is drawn in, so runs of
+    # one state each give the library's estimate up to the order of
+    # summation (compared as in test_exact_branch_equals_chunk_reference).
+    def one_state_runs(total, dim, cells, rng):
+        for _ in range(total):
+            yield from _gaussian_groups(1, dim, cells, rng)
     p_op, k = DIFFERENTIAL[name]
-    for total in (255, 257, 2049, 20000):
+    for total in (1, 255, 257, 2049):
         grouped = pue_nonstab_mc(p_op, k, 0.2, total, seed=3)
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_gaussian_groups", one_chunk_runs)
+            m.setattr(oracle, "_gaussian_groups", one_state_runs)
             single = pue_nonstab_mc(p_op, k, 0.2, total, seed=3)
-        assert grouped == single
+        assert single.estimate == pytest.approx(grouped.estimate, rel=1e-12,
+                                                abs=1e-15)
+        assert _mean_square(single) == pytest.approx(_mean_square(grouped),
+                                                     rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-0"],
