@@ -14,8 +14,9 @@ the range basis L of P from `oracle._range_basis`, as every subspace state
 of the oracle is drawn), a block of one error per state, a block of
 uniforms u1 for the first measurement and, for the nonstabilizer protocol
 only, a block of uniforms u2 for the second (one per trial, used or not),
-and then decides every trial of the chunk with row-wise array operations;
-<w|P|w> is ||L^dag w||^2.
+and decides every trial of the chunk from K code-space coordinates: for
+v = L u and a = L^dag w (`oracle._error_images`), <w|P|w> = ||a||^2 and,
+as L^dag L = I, <v, w> = <u, a>; the overlap is |<u, a>|^2/||a||^2.
 
 Randomness comes from numpy's PCG64; a run draws from
 SeedSequence(seed, spawn_key=(0,)) (`oracle._seeded_rng`).  Reports are
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf4 import AdditiveCode
-from .oracle import (_CHUNK, DEFAULT_ORACLE_CAP, _apply_errors, _check_p,
+from .oracle import (_CHUNK, DEFAULT_ORACLE_CAP, _check_p, _error_images,
                      _hadamard, _range_basis, _sample_errors, _seeded_rng,
-                     _uniform_batch, code_projector)
+                     _sphere_batch, code_projector)
 
 PROTOCOLS = ("stabilizer", "nonstabilizer")
 
@@ -91,25 +92,22 @@ def simulate(code: AdditiveCode, p: float, trials: int,
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_p(p)
+    p = float(p)
 
-    p_op = code_projector(code, cap)
-    basis = _range_basis(p_op)
-    hadamard = _hadamard(code.n)
+    basis = _range_basis(code_projector(code, cap))
 
     undetected = detected = trivial = 0
     rng = _seeded_rng(seed)
     for done in range(0, trials, _CHUNK):
         c = min(_CHUNK, trials - done)
-        v = _uniform_batch(basis, c, rng)
+        u = _sphere_batch(c, basis.shape[1], rng)
         x, z = _sample_errors(code.n, p, rng, c)
         u1 = rng.random(c)
         u2 = rng.random(c) if protocol == "nonstabilizer" else None
-        # The global phase of E cancels in both overlaps below.
-        w = _apply_errors(hadamard, v, x, z)
-
-        # For a stabilizer code the first measurement never splits.
-        # <w|P|w> = ||L^dag w||^2 for the range basis L of P.
-        prob_code = np.sum(np.abs(w @ basis.conj()) ** 2, axis=1)
+        # a = L^dag w for w = E L u (E's global phase cancels below), and
+        # <w|P|w> = ||a||^2; for a stabilizer code it is 0 or 1.
+        a = _error_images(basis, _hadamard(code.n), u, x, z)
+        prob_code = np.sum(np.abs(a) ** 2, axis=1)
         mixed = np.flatnonzero(np.minimum(prob_code, 1 - prob_code) > _BORN_TOL)
         if len(mixed):
             raise ValueError(
@@ -120,8 +118,8 @@ def simulate(code: AdditiveCode, p: float, trials: int,
         # The Born draw against (P, I - P), from <w|P|w>.
         kept = _born_first(prob_code, u1)
         detected += c - int(np.count_nonzero(kept))
-        # |<v, post>|^2 for post = Pw / sqrt(<w|P|w>).
-        overlap = (np.abs(np.sum(v[kept].conj() * w[kept], axis=1)) ** 2
+        # |<v, post>|^2 for post = Pw / sqrt(<w|P|w>), with <v, w> = <u, a>.
+        overlap = (np.abs(np.sum(u[kept].conj() * a[kept], axis=1)) ** 2
                    / prob_code[kept])
         if protocol == "stabilizer":
             same = overlap > _COLLINEAR

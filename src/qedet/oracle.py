@@ -38,15 +38,14 @@ Every state takes 2K consecutive normals from the stream, read as K
 on how they are split into calls.  The exact branch and the two moment
 checks draw runs of states, as many as keep each temporary within
 _CHUNK_CELLS = 2^13 cells and at least _CHUNK, and hold them
-coordinate-major (K x N).  The
-exact branch and the fourth moment work on the K^2 real coordinates of
-conj(u) u^T: K^4 real multiply-adds a state.
+coordinate-major (K x N).  The exact branch and the fourth moment work on
+the K^2 real coordinates of conj(u) u^T: K^4 real multiply-adds a state.
 
 Monte Carlo estimators draw from numpy's PCG64 seeded with
 SeedSequence(seed, spawn_key=(0,)) (`_seeded_rng`), so results are
-reproducible for a fixed seed.  When its error sum is sampled,
-`pue_nonstab_mc` draws in chunks of `_CHUNK`: a block of states, then a
-block of one error per state.
+reproducible for a fixed seed.  A sampled error sum of `pue_nonstab_mc`
+draws in chunks of `_CHUNK`, a block of states and then a block of one
+error per state, which `_error_images` applies as it does in `simulate`.
 """
 
 from __future__ import annotations
@@ -216,8 +215,7 @@ def _sample_errors(n: int, p: float, rng: np.random.Generator,
     bits = np.array([1 << (n - 1 - q) for q in range(n)],
                     dtype=np.int64 if n < 63 else object)
     # Kinds 0, 1, 2 are X, Z, Y: the x plane is kind != 1, the z plane kind != 0.
-    x, z = ((hit[:, None] & (kinds[:, None] != [[1], [0]])) @ bits).T
-    return x, z
+    return (hit & (kinds != 1)) @ bits, (hit & (kinds != 0)) @ bits
 
 
 def code_projector(code: AdditiveCode, cap: int = DEFAULT_ORACLE_CAP) -> DenseOperator:
@@ -424,13 +422,9 @@ def _sphere_batch(count: int, dim: int,
 
 def _uniform_batch(basis: np.ndarray, count: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """(count, 2^n) array of uniform samples from the unit sphere of the
-    range of L L^dag, for a basis L from `_range_basis`.
-
-    Each row is v = L u for a uniform u on the sphere of the K code-space
-    coordinates; L is an isometry, so v is exactly uniform on the subspace
-    sphere.
-    """
+    """(count, 2^n) states v = L u, uniform on the unit sphere of the range
+    of L L^dag for a basis L from `_range_basis`: u is uniform on the sphere
+    of the K code-space coordinates, and L is an isometry."""
     return _sphere_batch(count, basis.shape[1], rng) @ basis.T
 
 
@@ -618,6 +612,7 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     its real coordinates.
     """
     _check_p(p)
+    p = float(p)
     if samples < 1:
         raise ValueError("samples must be positive")
     n = (p_op.shape[0] - 1).bit_length()
@@ -645,9 +640,9 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
         """The values of the states, one array per chunk or run."""
         if not exact_errors:
             for done in range(0, samples, _CHUNK):
-                v = _uniform_batch(basis, min(_CHUNK, samples - done), rng)
-                yield _sampled_values(basis, h, v,
-                                      *_sample_errors(n, p, rng, len(v)))
+                u = _sphere_batch(min(_CHUNK, samples - done), k, rng)
+                yield _sampled_values(basis, h, u,
+                                      *_sample_errors(n, p, rng, len(u)))
             return
         for g in _gaussian_groups(samples, k, k * k, rng):
             q = _hermitian_coordinates(g)
@@ -700,23 +695,28 @@ def _code_space_forms(basis: np.ndarray, probs: np.ndarray,
     return np.einsum("cbca->ab", g.reshape(k, k, k, k)), g
 
 
-def _apply_errors(hadamard: np.ndarray, v: np.ndarray, x: np.ndarray,
-                  z: np.ndarray) -> np.ndarray:
-    """Rows E(x, z) v for a block of states and one index-form error each,
-    up to the error's global phase i^|x&z|, which every caller's
-    quantities cancel: E|k> = i^|x&z| (-1)^|k&z| |k^x>."""
-    return np.take_along_axis(hadamard[z] * v,
-                              np.arange(v.shape[1]) ^ x[:, None], axis=1)
+def _error_images(basis: np.ndarray, hadamard: np.ndarray, u: np.ndarray,
+                  x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(c, K) coordinates a = L^dag E(x, z) L u of each row u of a block of
+    code-space states under its index-form error, up to the phase i^|x&z|
+    that every caller cancels: as E|k> = i^|x&z| (-1)^|k&z| |k^x>, v = L u
+    times row z of the Hadamard matrix is read at j^x by one flat take."""
+    d = len(hadamard)
+    v = u @ basis.T
+    v *= hadamard[z]
+    at = _shifts(d.bit_length() - 1)[x]
+    at += np.arange(0, len(v) * d, d)[:, None]
+    return v.ravel().take(at) @ basis.conj()
 
 
-def _sampled_values(basis: np.ndarray, hadamard: np.ndarray, v: np.ndarray,
+def _sampled_values(basis: np.ndarray, hadamard: np.ndarray, u: np.ndarray,
                     x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """||P E v||^2 - |<v, P E v>|^2 for each row v of a block of states and
-    its index-form error E(x, z), as ||L^dag E v||^2 - |<L^dag v, L^dag E v>|^2
-    for the range basis L of P; identity errors give exactly 0."""
-    u = _apply_errors(hadamard, v, x, z) @ basis.conj()
-    vals = (np.sum(np.abs(u) ** 2, axis=1)
-            - np.abs(np.sum((v.conj() @ basis) * u, axis=1)) ** 2)
+    """||P E v||^2 - |<v, P E v>|^2 for each state v = L u of a block, from
+    its coordinates u and a = L^dag E v (`_error_images`): ||a||^2 -
+    |<u, a>|^2, as L^dag L = I; identity errors give exactly 0."""
+    a = _error_images(basis, hadamard, u, x, z)
+    vals = (np.sum(np.abs(a) ** 2, axis=1)
+            - np.abs(np.sum(u.conj() * a, axis=1)) ** 2)
     return np.where((x | z) == 0, 0.0, vals)
 
 

@@ -16,9 +16,10 @@ from qedet import chansim
 from qedet.chansim import _CHUNK, _born_first, simulate
 from qedet.enumerators import stabilizer_enumerators
 from qedet.gf4 import GF4Vector
-from qedet.oracle import (_range_basis, _reverse_bits, _sample_errors,
-                          _seeded_rng, _uniform_batch, code_projector,
-                          pue_nonstab_mc)
+from qedet.oracle import (_error_images, _hadamard, _range_basis,
+                          _reverse_bits, _sample_errors, _seeded_rng,
+                          _sphere_batch, _uniform_batch, code_projector,
+                          pauli_matrix, pue_nonstab_mc)
 from qedet.pue import pue_nonstabilizer, pue_stabilizer
 
 from oracle_reference import (_born_index, measure, sample_errors_loop,
@@ -237,6 +238,34 @@ K0_CODES |= {f"random-k0-n{n}": _random_code(n, n, random.Random(n))
 
 
 @pytest.mark.parametrize("name", list(SIM_CODES))
+def test_error_images_equal_dense_pauli(name):
+    # The chunk kernel's a = L^dag E L u against the dense Pauli matrix, up
+    # to the phase i^|x&z| it leaves out: every word for n <= 4, 300
+    # uniform words (the first five the identity) above, where the
+    # identity rows must give u back.
+    code = SIM_CODES[name]
+    n = code.n
+    basis = _range_basis(code_projector(code))
+    rng = _rng(40)
+    if n <= 4:
+        x, z = (a.ravel() for a in np.indices((1 << n, 1 << n)))
+    else:
+        x, z = rng.integers(0, 1 << n, (2, 300))
+        x[:5] = z[:5] = 0
+    u = _sphere_batch(len(x), code.dim, rng)
+    got = _error_images(basis, _hadamard(n), u, x, z)
+    assert got.shape == u.shape
+    for xi, zi, ui, ai in zip(x, z, u, got):
+        e = GF4Vector(n, _reverse_bits(int(xi), n), _reverse_bits(int(zi), n))
+        want = basis.conj().T @ pauli_matrix(e) @ (basis @ ui)
+        phase = 1j ** (int(xi) & int(zi)).bit_count()
+        assert np.max(np.abs(phase * ai - want)) < 1e-12
+    identity = (x | z) == 0
+    assert np.count_nonzero(identity) == (1 if n <= 4 else 5)
+    assert np.max(np.abs(got[identity] - u[identity])) < 1e-12
+
+
+@pytest.mark.parametrize("name", list(SIM_CODES))
 @pytest.mark.parametrize("protocol", ["stabilizer", "nonstabilizer"])
 def test_simulate_counts_equal_measure_loop(name, protocol):
     # Same counts as drawing each error as a GF4Vector and making both
@@ -309,3 +338,19 @@ def test_simulate_json_schema():
     assert set(doc["counts"]) == {"undetected", "detected", "trivial"}
     assert doc["counts"]["undetected"] + doc["counts"]["detected"] + \
         doc["counts"]["trivial"] == 100
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 10), np.float32(0.1),
+                               np.float64(0.1)])
+def test_simulate_and_mc_take_p_as_float(p):
+    # Any p that _check_p accepts runs as float(p), and the reports hold
+    # that float, so they serialize; Fraction(1, 10) runs exactly as 0.1.
+    code = get_code("c422")
+    report = simulate(code, p, 300, seed=1)
+    assert type(report.p) is float and report.p == float(p)
+    assert json.loads(report.to_json())["p"] == float(p)
+    assert report == simulate(code, float(p), 300, seed=1)
+    p_op = code_projector(code)
+    est = pue_nonstab_mc(p_op, code.dim, p, 300, seed=1)
+    assert type(est.p) is float
+    assert est == pue_nonstab_mc(p_op, code.dim, float(p), 300, seed=1)

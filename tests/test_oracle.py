@@ -1054,11 +1054,12 @@ def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
     n, p, c, seed = code.n, 0.3, 200, 11
     p_op = code_projector(code)
     rng = _seeded_rng(seed)
-    v = _uniform_batch(_range_basis(p_op), c, rng)
+    u = _sphere_batch(c, code.dim, rng)
+    v = u @ _range_basis(p_op).T
     x, z = _sample_errors(n, p, rng, c)
     errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))
               for a, b in zip(x, z)]
-    got = _sampled_values(_range_basis(p_op), _hadamard(n), v, x, z)
+    got = _sampled_values(_range_basis(p_op), _hadamard(n), u, x, z)
     want = sampled_values_dense(p_op, v, errors)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.all(got[(x | z) == 0] == 0.0)
