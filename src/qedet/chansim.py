@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,8 @@ def simulate(code: AdditiveCode, p: float, trials: int,
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_p(p)
-    p = float(p)
+    # Plain Python numbers, so that the report serializes.
+    p, trials, seed = float(p), operator.index(trials), operator.index(seed)
 
     basis = _range_basis(code_projector(code, cap))
 

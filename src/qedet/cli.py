@@ -196,8 +196,8 @@ def _verify_checks(code: AdditiveCode, cap: int, samples: int, seed: int):
     target = pue.pue_nonstabilizer(pair, 0.1)
     diff = abs(mc.estimate - target)
     if diff <= 1e-10:
-        # Degenerate cases (e.g. one-dimensional codes) are zero up to
-        # rounding noise, where a stderr band is meaningless.
+        # The closed form within the code-space rule, and any K = 1 code's
+        # 0, equal the polynomial up to rounding; a stderr band means nothing.
         yield ("uniform_functional_mc", True, f"abs_err={diff:.2e}")
     else:
         # Each sample lies in [0, 1], so its variance is at most

@@ -175,6 +175,8 @@ def macwilliams(counts, n: int, dim: int, direction: str) -> tuple[int, ...]:
     """
     if direction not in ("dual_to_code", "code_to_dual"):
         raise ValueError(f"unknown direction {direction!r}")
+    if dim < 1:
+        raise ValueError(f"dimension dim must be at least 1, not {dim}")
     counts = tuple(counts)
     if len(counts) != n + 1:
         raise ValueError("weight vector must have length n + 1")

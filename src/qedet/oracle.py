@@ -28,18 +28,17 @@ gives an orthonormal basis L of range(P) (L L^dag = P) by a pivoted
 Cholesky; a state is v = L u for a normalized K-dimensional complex
 Gaussian u, and every per-state product goes through L instead of P:
 ||P w||^2 = ||L^dag w||^2.  Whenever the code-space error table is small
-(4^n K^2 <= 2^16, `_code_space_fits`) the exact error sum of
-`pue_nonstab_mc` is a K^2 x K^2 quadratic form G in conj(u) (x) u, and
-`pue_composite_exact` sums the tables of M_E = L^dag E L that G is built
-from.
+(4^n K^2 <= 2^16, `_code_space_fits`) both functionals are closed forms
+in the sums of ||M_E||_F^2 and |Tr M_E|^2 over M_E = L^dag E L
+(`_code_space_sums`), `pue_nonstab_mc` through the two sphere moments
+that the moment checks test by sampling.
 
 Every state takes 2K consecutive normals from the stream, read as K
 (real, imaginary) pairs, so the states a generator yields do not depend
-on how they are split into calls.  The exact branch and the two moment
-checks draw runs of states, as many as keep each temporary within
-_CHUNK_CELLS = 2^13 cells and at least _CHUNK, and hold them
-coordinate-major (K x N).  The exact branch and the fourth moment work on
-the K^2 real coordinates of conj(u) u^T: K^4 real multiply-adds a state.
+on how they are split into calls.  The two moment checks draw runs of
+states, as many as keep each temporary within _CHUNK_CELLS = 2^13 cells
+and at least _CHUNK, and hold them coordinate-major (K x N).  The fourth
+moment works on the K^2 real coordinates of conj(u) u^T.
 
 Monte Carlo estimators draw from numpy's PCG64 seeded with
 SeedSequence(seed, spawn_key=(0,)) (`_seeded_rng`), so results are
@@ -451,8 +450,8 @@ def _gaussian_groups(total: int, dim: int, cells: int,
     """(2, dim, N) real and imaginary parts, one column per state, of the
     Gaussians of `total` states, drawn as `_sphere_batch` draws them, in
     runs of N states that keep N * max(cells, 2 dim) within _CHUNK_CELLS,
-    but at least _CHUNK: narrower runs make the K^2 x K^2 products of
-    large K slower."""
+    but at least _CHUNK: narrower runs make the fourth moment's products
+    of large K slower."""
     if total < 1:
         raise ValueError(f"a check needs at least 1 sample, not {total}")
     step = max(_CHUNK_CELLS // max(cells, 2 * dim), _CHUNK)
@@ -539,6 +538,8 @@ def verify_fourth_moment(dim: int, samples: int,
     each run of states adds Q Q^T, K^4 real multiply-adds a state.  One
     sample lies sqrt(1 - 2/(K (K + 1))) from the target in Frobenius norm.
     """
+    if dim < 1:
+        raise ValueError(f"dimension dim must be at least 1, not {dim}")
     swap = np.zeros((dim * dim, dim * dim))
     for i in range(dim):
         for j in range(dim):
@@ -599,17 +600,18 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
                    seed: int = 0, cap: int = DEFAULT_ORACLE_CAP) -> MCEstimate:
     """Monte Carlo of the subspace-uniform undetected-error functional.
 
-    Averages sum_E Pr(E) ||(I - vv*) P E v||^2 over uniform subspace states.
-    The error sum is exact over all 4^n errors whenever the code-space error
-    table is small, 4^n K^2 <= 2^16 for K = rank P (every code with n <= 4,
-    and n = 5, 6, 7, 8 with K <= 8, 4, 2, 1), and sampled from the channel
-    otherwise.  The identity error term is identically zero (P v = v on the
-    subspace) and is skipped, so p = 0 gives exactly 0, as does n = 0, where
-    no other error exists.  When the error sum is sampled, states are
+    Averages sum_E Pr(E) ||(I - vv*) P E v||^2 over uniform subspace states
+    v = L u, a value of ||M_E u||^2 - |u^dag M_E u|^2 per error for
+    M_E = L^dag E L.  Whenever the code-space error table is small,
+    4^n K^2 <= 2^16 for K = rank P (every code with n <= 4, and n = 5, 6, 7,
+    8 with K <= 8, 4, 2, 1), the average is taken in closed form and no
+    state is drawn: over the unit sphere of C^K, E||M u||^2 = ||M||_F^2/K
+    and E|u^dag M u|^2 = (|Tr M|^2 + ||M||_F^2)/(K(K+1)), summed over all
+    4^n errors (`_code_space_sums`), with stderr 0.  Otherwise states are
     drawn in chunks of `_CHUNK`, each followed by a block of one error per
-    state.  When it is exact, runs of states are drawn at once
-    (`_gaussian_groups`), and a state costs one real K^2 x K^2 product on
-    its real coordinates.
+    state sampled from the channel.  The identity error term is identically
+    zero (P v = v on the subspace) and is skipped, so p = 0 gives exactly 0,
+    as does n = 0, where no other error exists.
     """
     _check_p(p)
     p = float(p)
@@ -621,35 +623,19 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
 
     if n == 0:
         return MCEstimate(0.0, 0.0, samples, seed, p)
-    h = _hadamard(n)
+    rng = _seeded_rng(seed)  # checks the seed on either branch
     basis = _kept(p_op, _range_basis)
     k = basis.shape[1]
-    exact_errors = _code_space_fits(n, k)
-    if exact_errors:
-        # In code-space coordinates v = L u: v^dag M v = u^dag (L^dag M L) u,
-        # and sum_E Pr(E) |<v, E v>|^2 = y^T G conj(y) with y = conj(u) (x) u
-        # and G = sum_E Pr(E) vec(M_E) vec(M_E)^dag for M_E = L^dag E L.
-        # With y = B q for the real coordinates q, a state's value is
-        # c . q - q^T S q for c = Re(B^T vec(L^dag T L)), S = Re(B^T G conj(B)).
-        m_code, g_op = _code_space_forms(basis, _error_table(n, p), h)
-        frame = _hermitian_frame(k)
-        c_vec = (frame.T @ m_code.ravel()).real
-        s_mat = (frame.T @ g_op @ frame.conj()).real
+    if _code_space_fits(n, k):
+        norms, traces = _code_space_sums(basis, _error_table(n, p))
+        return MCEstimate(norms / k - (norms + traces) / (k * (k + 1)), 0.0,
+                          samples, seed, p)
 
-    def values(rng: np.random.Generator):
-        """The values of the states, one array per chunk or run."""
-        if not exact_errors:
-            for done in range(0, samples, _CHUNK):
-                u = _sphere_batch(min(_CHUNK, samples - done), k, rng)
-                yield _sampled_values(basis, h, u,
-                                      *_sample_errors(n, p, rng, len(u)))
-            return
-        for g in _gaussian_groups(samples, k, k * k, rng):
-            q = _hermitian_coordinates(g)
-            yield c_vec @ q - np.sum(q * (s_mat @ q), axis=0)
-
+    h = _hadamard(n)
     n_sum = sq_sum = 0.0
-    for vals in values(_seeded_rng(seed)):
+    for done in range(0, samples, _CHUNK):
+        u = _sphere_batch(min(_CHUNK, samples - done), k, rng)
+        vals = _sampled_values(basis, h, u, *_sample_errors(n, p, rng, len(u)))
         n_sum += float(vals.sum())
         sq_sum += float((vals * vals).sum())
 
@@ -659,40 +645,28 @@ def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
     return MCEstimate(mean, math.sqrt(var / samples), samples, seed, p)
 
 
-def _code_space_shifts(basis: np.ndarray, hadamard: np.ndarray):
-    """Yield (xs, m) for runs of shifts xs: row (i, z) of the
-    (len(xs) 2^n, K^2) table m is vec(L^dag E(xs[i], z) L) up to the error's
-    phase i^|x&z|.
+def _code_space_sums(basis: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """(sum_E Pr(E) ||M_E||_F^2, sum_E Pr(E) |Tr M_E|^2) for the code-space
+    errors M_E = L^dag E L under the index-form error table Pr(x, z).
 
     L^dag E(x, z) L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]:
-    a gather over s and one Hadamard transform per shift.  A run holds as
-    many shifts as keep its table within _CHUNK_CELLS, and at least one.
+    a gather over s and one Hadamard transform per shift x, whose phase
+    i^|x&z| cancels in both sums.  The (len(xs) 2^n, K^2) table of a run of
+    shifts xs holds as many shifts as keep it within _CHUNK_CELLS, and at
+    least one.
     """
     d, k = basis.shape
+    h, j, eye = _hadamard(d.bit_length() - 1), np.arange(d), np.eye(k).ravel()
     step = max(_CHUNK_CELLS // (2 * d * k * k), 1)
-    j = np.arange(d)
+    norms = traces = 0.0
     for lo in range(0, d, step):
         xs = j[lo:lo + step]
         f = basis.conj()[xs[:, None] ^ j][..., None] * basis[:, None, :]
-        yield xs, (hadamard @ f.reshape(len(xs), d, k * k)).reshape(-1, k * k)
-
-
-def _code_space_forms(basis: np.ndarray, probs: np.ndarray,
-                      hadamard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L^dag T L, G) for the twirl T = sum_E Pr(E) E^dag P E and
-    G = sum_E Pr(E) vec(M_E) vec(M_E)^dag (K^2 x K^2), where M_E = L^dag E L
-    are the code-space errors under the error table Pr(x, z).
-
-    The phase of M_E cancels in G, which is summed one run of shifts of
-    `_code_space_shifts` at a time, so memory stays O(2^n K^2 + K^4).  As
-    P = L L^dag, L^dag T L = sum_E Pr(E) M_E^dag M_E, the partial trace of G
-    over its first factor.
-    """
-    k = basis.shape[1]
-    g = np.zeros((k * k, k * k), dtype=complex)
-    for xs, m in _code_space_shifts(basis, hadamard):
-        g += m.T @ (probs[xs].reshape(-1, 1) * m.conj())
-    return np.einsum("cbca->ab", g.reshape(k, k, k, k)), g
+        m = (h @ f.reshape(len(xs), d, k * k)).reshape(-1, k * k)
+        pr = probs[xs].ravel()
+        norms += np.vdot(m, pr[:, None] * m).real
+        traces += pr @ np.abs(m @ eye) ** 2
+    return float(norms), float(traces)
 
 
 def _error_images(basis: np.ndarray, hadamard: np.ndarray, u: np.ndarray,
@@ -726,9 +700,8 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float) -> float:
     Sums Pr(E) ||(I - bb*)(P x I)(E x I) b||^2 over all errors for the
     completely entangled state b = vec(L)/sqrt(K) between the subspace and a
     K-dimensional reference system.  For M_E = L^dag E L the terms are
-    ||M_E||_F^2/K - |Tr M_E|^2/K^2, read off the tables of
-    `_code_space_shifts` without forming G.  Needs 4^n K^2 <= 2^16, which
-    bounds the work, so no qubit cap applies.
+    ||M_E||_F^2/K - |Tr M_E|^2/K^2, summed by `_code_space_sums`.  Needs
+    4^n K^2 <= 2^16, which bounds the work, so no qubit cap applies.
     """
     _check_p(p)
     n = (p_op.shape[0] - 1).bit_length()
@@ -737,10 +710,6 @@ def pue_composite_exact(p_op: DenseOperator, dim: int, p: float) -> float:
     if not _code_space_fits(n, dim):
         raise ValueError(f"n={n} with K={dim} exceeds the exact code-space "
                          f"rule 4^n K^2 <= 2^16")
-    probs, eye = _error_table(n, p), np.eye(dim).ravel()
-    norms = traces = 0.0
-    for xs, m in _code_space_shifts(_kept(p_op, _range_basis), _hadamard(n)):
-        pr = probs[xs].ravel()
-        norms += np.vdot(m, pr[:, None] * m).real  # sum Pr ||M_E||_F^2
-        traces += pr @ np.abs(m @ eye) ** 2       # sum Pr |Tr M_E|^2
-    return float(norms / dim - traces / (dim * dim))
+    norms, traces = _code_space_sums(_kept(p_op, _range_basis),
+                                     _error_table(n, p))
+    return norms / dim - traces / (dim * dim)

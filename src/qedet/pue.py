@@ -224,6 +224,8 @@ def pue_classical(counts, q: int, p, *, exact: bool = False):
     alphabet used on the symmetric channel with symbol error probability p.
     """
     n = len(counts) - 1
+    if q < 2:
+        raise ValueError(f"alphabet size q must be at least 2, not {q}")
     if not (0 <= p and q * p <= q - 1):
         raise ValueError(f"symbol error probability {p} outside [0, (q-1)/q]")
     diffs = [0] + [int(c) for c in counts[1:]]

@@ -11,15 +11,16 @@ forms it is checked against: one row gather per error
 errors, u1, then u2 for the nonstabilizer protocol) and plays each trial on
 its own, measuring against (P, I - P) and then (vv*, P - vv*) with dense
 projectors, each measurement replaying its pre-drawn uniform.
-`nonstab_mc_exact_complex`, `mean_projector_complex` and
-`fourth_moment_complex` draw all states of a check with one
-`_sphere_batch` call and hold them row by row, in complex coordinates,
-where the library draws runs of states, column by column, and values the
-exact branch and the fourth moment in real coordinates.
+`mean_projector_complex` and `fourth_moment_complex` draw all states of a
+check with one `_sphere_batch` call and hold them row by row, in complex
+coordinates, where the library draws runs of states, column by column,
+and values the fourth moment in real coordinates.  `nonstab_trace_reference`
+takes the closed form of the uniform functional from the traces of dense
+Pauli matrices against P, error by error, with no range basis.
 `code_space_errors` holds the whole (4^n, K^2) table of code-space errors
-L^dag E L, which the library folds into its quadratic form one shift at a
-time, and `twirl` forms sum_E Pr(E) E^dag P E in the full space, which the
-library only ever forms in code-space coordinates.  `pauli_action_gather`
+L^dag E L, which the library sums one run of shifts at a time, and
+`twirl` forms sum_E Pr(E) E^dag P E in the full space, which the library
+only ever sums in code-space coordinates.  `pauli_action_gather`
 gathers an error's signs from its Hadamard row, one index per entry, where
 the library scales the whole row by one sign, and `classify_error_loop`
 takes the syndrome with one `trace_inner` call per generator, where the
@@ -39,8 +40,7 @@ from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors, trace_inner
 from qedet.oracle import (_CLASSIFY_TOL, _PHASES, DETECTED, TRIVIAL,
-                          UNDETECTABLE, MCEstimate, MomentReport,
-                          _bit_reversal, _code_space_forms, _error_table,
+                          UNDETECTABLE, MomentReport, _bit_reversal,
                           _hadamard, _pauli_action, _range_basis, _seeded_rng,
                           _sphere_batch, _uniform_batch, pauli_matrix)
 
@@ -168,23 +168,23 @@ def fourth_moment_complex(dim: int, samples: int,
     return _moment(y.T @ y.conj(), target, samples, 1 - 2 / (dim * (dim + 1)))
 
 
-def nonstab_mc_exact_complex(p_op: np.ndarray, p: float, samples: int,
-                             seed: int = 0) -> MCEstimate:
-    """The exact branch of `oracle.pue_nonstab_mc` in complex coordinates:
-    u^dag (L^dag T L) u - y^T G conj(y) with y = conj(u) (x) u for each
-    state u."""
+def nonstab_trace_reference(p_op: np.ndarray, p: float) -> float:
+    """The uniform functional in closed form, error by error from dense
+    matrices: the sum over E of
+        Pr(E) [Tr(E P E P)/K - (|Tr(E P)|^2 + Tr(E P E P))/(K (K + 1))]
+    for K = Tr P, as ||L^dag E L||_F^2 = Tr(E P E P) and
+    Tr(L^dag E L) = Tr(E P) for any L with L L^dag = P and a Hermitian E."""
     n = (p_op.shape[0] - 1).bit_length()
-    basis = _range_basis(p_op)
-    k = basis.shape[1]
-    m_code, g_op = _code_space_forms(basis, _error_table(n, p), _hadamard(n))
-    u = _sphere_batch(samples, k, _seeded_rng(seed))
-    y = (u.conj()[:, :, None] * u[:, None, :]).reshape(samples, -1)
-    vals = (np.sum((u.conj() @ m_code) * u, axis=1).real
-            - np.sum((y @ g_op) * y.conj(), axis=1).real)
-    mean = float(np.sum(vals)) / samples
-    var = (max(float(np.sum(vals * vals)) - samples * mean * mean, 0.0)
-           / (samples - 1) if samples > 1 else 0.0)
-    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, p)
+    k = p_op.trace().real
+    terms = []
+    for e in all_vectors(n):
+        if e.is_zero:
+            continue
+        ep = pauli_matrix(e, cap=n) @ p_op
+        norm, trace = np.trace(ep @ ep).real, abs(np.trace(ep)) ** 2
+        terms.append(error_probability(e, p)
+                     * (norm / k - (trace + norm) / (k * (k + 1))))
+    return math.fsum(terms)
 
 
 def enumerators_loop(p_op: np.ndarray, dim: int) -> EnumeratorPair:
@@ -222,9 +222,10 @@ def composite_loop(p_op: np.ndarray, dim: int, p: float) -> float:
 
 def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
                           seed: int = 0) -> tuple[float, float]:
-    """(estimate, stderr) of the exact-error branch of pue_nonstab_mc from the
-    same state draws: P E v for every non-identity error, one dense P E
-    product per error over all the states."""
+    """(mean, stderr) over `samples` uniform states of the exact error sum
+    sum_E Pr(E) ||(I - vv*) P E v||^2, drawn as the library draws them: P E v
+    for every non-identity error, one dense P E product per error over all
+    the states."""
     n = (p_op.shape[0] - 1).bit_length()
     basis = _range_basis(p_op)
     v = _uniform_batch(basis, samples, _seeded_rng(seed))
@@ -245,7 +246,7 @@ def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
 def code_space_errors(basis: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
     """(4^n, K^2) array whose row (x, z) is vec(L^dag E(x, z) L), up to the
     error's global phase, for every index-form error at once: the whole
-    table `oracle._code_space_forms` builds one shift x at a time.
+    table `oracle._code_space_sums` sums one run of shifts at a time.
 
     L^dag E L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]: a
     gather over x and one Hadamard transform over s.

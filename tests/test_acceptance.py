@@ -17,7 +17,7 @@ from qedet.catalog import get_code, names
 from qedet.chansim import simulate
 from qedet.enumerators import (check_enum_properties, macwilliams,
                                min_distance, stabilizer_enumerators)
-from qedet.gf4 import all_vectors, trace_inner
+from qedet.gf4 import all_vectors, parse_code, trace_inner
 from qedet.oracle import (code_projector, deviation_curve,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
                           pue_composite_exact, pue_nonstab_mc, uniform_state,
@@ -103,7 +103,10 @@ def test_04_coset_sum_equals_polynomial_form(catalog):
 def test_05_uniform_functional_mc_19_of_20_seeds(catalog):
     codes, pairs = catalog
     with criterion("05 uniform-functional-mc", 120):
-        code, pair = codes["c422"], pairs["c422"]
+        # A [[6, 3]] code: 4^n K^2 = 2^18 is beyond the code-space rule, so
+        # the states and errors are sampled.
+        code = parse_code("ZZYXZX\nZZXZIX\nIZIIII")
+        pair = stabilizer_enumerators(code)
         p_op = code_projector(code)
         for p in (0.05, 0.1, 0.3):
             target = pue_nonstabilizer(pair, p)
@@ -113,6 +116,12 @@ def test_05_uniform_functional_mc_19_of_20_seeds(catalog):
                 if abs(est.estimate - target) <= 4 * est.stderr:
                     hits += 1
             assert hits >= 19, (p, hits)
+        # Within the rule (c422) the state average is a closed form.
+        p_op, pair = code_projector(codes["c422"]), pairs["c422"]
+        for p in (0.05, 0.1, 0.3):
+            est = pue_nonstab_mc(p_op, pair.dim, p, 10000, seed=0)
+            assert est.stderr == 0.0
+            assert abs(est.estimate - pue_nonstabilizer(pair, p)) <= 1e-12
 
 
 def test_06_composite_functional_exact(catalog):

@@ -8,9 +8,12 @@ import argparse
 import dataclasses
 import types
 
+import numpy as np
+import pytest
+
 import qedet
 from qedet.cli import build_parser
-from qedet.oracle import MCEstimate, MomentReport
+from qedet.oracle import MCEstimate, MomentReport, verify_fourth_moment
 from qedet.pue import PueResult
 
 PUBLIC_NAMES = [
@@ -75,3 +78,17 @@ def test_cli_options_are_pinned():
                for name, sub in commands.items()}
     assert options == CLI_OPTIONS
     assert list(options) == list(CLI_OPTIONS)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: qedet.macwilliams((1, 0), 1, 0, "dual_to_code"), "dim"),
+    (lambda: qedet.macwilliams((1, 3), 1, 0, "code_to_dual"), "dim"),
+    (lambda: verify_fourth_moment(0, 10, np.random.default_rng(0)), "dim"),
+    (lambda: qedet.pue_classical((1, 0, 1), 1, 0.0), "q"),
+], ids=["macwilliams-dual_to_code", "macwilliams-code_to_dual",
+        "verify_fourth_moment", "pue_classical"])
+def test_degenerate_sizes_raise_value_error(call, match):
+    # A subspace dimension below 1 or an alphabet below 2 is refused by
+    # name, as EnumeratorPair refuses dim < 1, not met by a division by 0.
+    with pytest.raises(ValueError, match=rf"\b{match}\b"):
+        call()

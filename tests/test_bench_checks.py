@@ -36,9 +36,11 @@ def test_benchmark_job_checks_pass(workload, tiny):
 # prints them.  The dense digests date from the draw order in which each
 # subspace state is 2K consecutive normals (real, imaginary pairs): the
 # simulate jobs and the verify jobs' sampled checks read those states.
+# Every dense verify code is within the code-space rule, so its `mc=` value
+# is the closed form of the uniform functional, with stderr 0.
 ROUND0_DIGESTS = {
     "combinatorial": "610f24ce09d7390c3b38498189258cf7615d11ff28423088c60da1404fe3b8c2",
-    "dense": "ed86947ee0b411179b3c94d9e0783d40ca0e1580d1e819919c19059ba402fb63",
+    "dense": "987f48cd92989c3bbac4e633f8d239927da7c12fb932a2f976b9c47bb235951d",
 }
 
 
@@ -64,7 +66,7 @@ def test_round0_digest_at_seed_1(workload):
 # The same at seed 31, the held-out seed of paired benchmark runs.
 ROUND0_DIGESTS_SEED_31 = {
     "combinatorial": "d78f81c16537fcf473668861bcf50c366760fbdda726078f173dc63494e09529",
-    "dense": "7669c9f3105ac739978ec9f23946b830c92935ab77aaca3d949bf8462a3a357a",
+    "dense": "ca90f7d98745b44ce089f3013580bc4072b6f58e76c0e1833b994d11bbc1a58d",
 }
 
 

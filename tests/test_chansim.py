@@ -354,3 +354,15 @@ def test_simulate_and_mc_take_p_as_float(p):
     est = pue_nonstab_mc(p_op, code.dim, p, 300, seed=1)
     assert type(est.p) is float
     assert est == pue_nonstab_mc(p_op, code.dim, float(p), 300, seed=1)
+
+
+@pytest.mark.parametrize("trials,seed", [
+    (np.int64(300), 1), (300, np.int64(1)), (np.int32(300), np.uint64(1)),
+], ids=["int64-trials", "int64-seed", "int32-uint64"])
+def test_simulate_takes_numpy_integer_trials_and_seed(trials, seed):
+    # The report holds Python ints, so it serializes, and the counts are
+    # those of the same Python ints.
+    report = simulate(get_code("c422"), 0.1, trials, seed=seed)
+    assert type(report.trials) is int and type(report.seed) is int
+    assert json.loads(report.to_json())["trials"] == 300
+    assert report == simulate(get_code("c422"), 0.1, 300, seed=1)

@@ -20,7 +20,7 @@ from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
                        label_to_vector, trace_inner)
 from qedet.oracle import (_CHUNK, _CHUNK_CELLS, DETECTED,
                           TRIVIAL, UNDETECTABLE, MomentReport,
-                          _code_space_forms, _error_table, _gaussian_groups,
+                          _code_space_sums, _error_table, _gaussian_groups,
                           _hadamard, _hermitian_coordinates, _hermitian_frame,
                           _pauli_action, _range_basis, _reverse_bits, _sample_errors,
                           _sampled_values, _seeded_rng, _sphere_batch, _uniform_batch,
@@ -35,7 +35,7 @@ from oracle_reference import (classify_error_dense_loop, classify_error_loop,
                               code_space_errors, composite_loop,
                               dense_traces, enumerators_loop,
                               fourth_moment_complex, mean_projector_complex,
-                              nonstab_mc_exact_complex, nonstab_mc_exact_loop,
+                              nonstab_mc_exact_loop, nonstab_trace_reference,
                               pauli_action_gather, sampled_values_dense, twirl)
 from test_gf4 import _random_code, self_orthogonal_codes
 
@@ -822,7 +822,7 @@ def test_fourth_moment_memory_is_bounded():
 
 
 def test_nonstab_mc_memory_is_bounded():
-    # g62's shape (n = 6, K = 4) takes the exact error sum; G is built one
+    # g62's shape (n = 6, K = 4) takes the closed form; its sums run one
     # shift at a time, with no 4^n x K^2 table.
     code = _random_code(6, 4, random.Random(4))
     assert _traced_peak(pue_nonstab_mc, code_projector(code), code.dim, 0.1,
@@ -863,10 +863,10 @@ def test_pue_nonstab_mc_rank_one_is_zero():
 
 
 def test_pue_nonstab_mc_within_band():
-    code = get_code("c422")
+    code = SAMPLED_CODES["random-n6-1"]
     p = code_projector(code)
     pair = stabilizer_enumerators(code)
-    est = pue_nonstab_mc(p, 4, 0.1, 10000, seed=2)
+    est = pue_nonstab_mc(p, code.dim, 0.1, 10000, seed=2)
     target = pue_nonstabilizer(pair, 0.1)
     assert abs(est.estimate - target) <= 4 * est.stderr
 
@@ -882,11 +882,12 @@ def test_pue_nonstab_mc_sampled_error_path():
 
 
 def test_pue_nonstab_mc_reproducible_for_a_seed():
-    p = code_projector(get_code("c422"))
-    a = pue_nonstab_mc(p, 4, 0.1, 3001, seed=5)
-    b = pue_nonstab_mc(p, 4, 0.1, 3001, seed=5)
+    code = SAMPLED_CODES["random-n6-1"]
+    p = code_projector(code)
+    a = pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=5)
+    b = pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=5)
     assert a == b
-    assert pue_nonstab_mc(p, 4, 0.1, 3001, seed=6).estimate != a.estimate
+    assert pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=6).estimate != a.estimate
 
 
 def test_seeded_rng_keeps_the_spawn_key_0_stream():
@@ -906,7 +907,6 @@ EXACT_CODES = {
 }
 
 
-# Every run draws at least two 256-state chunks, the last one short.
 @pytest.mark.parametrize("name,p,samples", [
     ("trivial-n1", 0.3, 2000),
     ("c422", 0.1, 3001),
@@ -917,35 +917,34 @@ EXACT_CODES = {
     ("random-n6-r4", 0.1, 300),
 ])
 def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples):
+    # The closed form is the mean over uniform states of each state's exact
+    # error sum, which the loop takes with one dense P E product per error:
+    # the loop's sample mean lies within the variance-bound band.
     code = EXACT_CODES[name] if name in EXACT_CODES else get_code(name)
     p_op = code_projector(code)
     got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7)
-    want, want_stderr = nonstab_mc_exact_loop(p_op, p, samples, seed=7)
-    assert want > 0
-    assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
-    # On five13 and trivial-n1 every state gives the same value, so both
-    # stderrs are rounding noise; the mean square they come from is not.
-    assert (got.estimate ** 2 + got.stderr ** 2 * (samples - 1)
-            == pytest.approx(want ** 2 + want_stderr ** 2 * (samples - 1),
-                             rel=1e-12, abs=0))
-    if name == "five13":
-        # K = 2 with the three logical classes equally weighted.
-        assert max(got.stderr, want_stderr) < 1e-11
+    mean, stderr = nonstab_mc_exact_loop(p_op, p, samples, seed=7)
+    assert got.estimate > 0 and got.stderr == 0.0
+    assert abs(mean - got.estimate) <= _variance_band(got.estimate, samples)
+    if name in ("five13", "trivial-n1"):
+        # Every state has the same value here, which is then the average.
+        assert stderr < 1e-11
+        assert mean == pytest.approx(got.estimate, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n,rank,exact", [
     (5, 2, True), (6, 4, True), (5, 1, False), (6, 3, False),
 ])
 def test_pue_nonstab_mc_branch_rule_boundary(n, rank, exact):
-    # 4^n K^2 is 2^16 for n = 5, K = 8 and n = 6, K = 4 (exact), and 2^18
-    # for n = 5, K = 16 and n = 6, K = 8 (sampled).  Each side is shown
-    # against its own reference on the same draws.
+    # 4^n K^2 is 2^16 for n = 5, K = 8 and n = 6, K = 4 (closed form), and
+    # 2^18 for n = 5, K = 16 and n = 6, K = 8 (sampled).  Each side is
+    # shown against its own reference.
     code = _random_code(n, rank, random.Random(n + rank))
     assert (4 ** n * code.dim ** 2 <= 1 << 16) == exact
     p_op, p, c, seed = code_projector(code), 0.2, 200, 13
     got = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed)
     if exact:
-        want = nonstab_mc_exact_loop(p_op, p, c, seed=seed)[0]
+        want = nonstab_trace_reference(p_op, p)
     else:
         rng = _seeded_rng(seed)
         v = _uniform_batch(_range_basis(p_op), c, rng)
@@ -955,21 +954,22 @@ def test_pue_nonstab_mc_branch_rule_boundary(n, rank, exact):
         want = np.mean(sampled_values_dense(p_op, v, errors))
     assert want > 0
     assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
+    assert (got.stderr == 0) == exact
 
 
 @pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422"])
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.75])
 def test_code_space_twirl_is_partial_trace_of_gram(name, p):
-    # L^dag (sum_E Pr(E) E^dag P E) L = sum_E Pr(E) M_E^dag M_E = Tr_1 G,
-    # since P = L L^dag; pins the exact branch's twirl term to the
-    # full-space reference.
+    # sum_E Pr(E) M_E^dag M_E = L^dag T L for the twirl T = sum_E Pr(E)
+    # E^dag P E (P = L L^dag), the partial trace of the Gram form
+    # G = sum_E Pr(E) vec(M_E) vec(M_E)^dag; its trace is the norm sum of
+    # the closed forms, pinned here to the full-space reference.
     p_op = code_projector(get_code(name))
     n = (len(p_op) - 1).bit_length()
     basis = _range_basis(p_op)
     probs, h = _error_table(n, p), _hadamard(n)
-    got = _code_space_forms(basis, probs, h)[0]
-    want = basis.conj().T @ twirl(p_op, probs, h) @ basis
-    assert np.max(np.abs(got - want)) < 1e-12
+    want = np.trace(basis.conj().T @ twirl(p_op, probs, h) @ basis)
+    assert abs(_code_space_sums(basis, probs)[0] - want) < 1e-12
 
 
 @pytest.mark.parametrize("code", [get_code("c422"), get_code("five13"),
@@ -977,72 +977,84 @@ def test_code_space_twirl_is_partial_trace_of_gram(name, p):
                                   EXACT_CODES["random-n6-r4"]],
                          ids=["c422", "five13", "random-n5-r2", "random-n6-r4"])
 def test_code_space_gram_equals_error_table(code):
-    # The shift-at-a-time G against the whole (4^n, K^2) table of M_E.
+    # The two sums of the closed forms are the contractions Tr G and
+    # vec(I)^T G vec(I) of the Gram form of the whole (4^n, K^2) table of
+    # M_E, which the library never forms: it sums one run of shifts at a time.
     p_op = code_projector(code)
     basis, h = _range_basis(p_op), _hadamard(code.n)
     probs = _error_table(code.n, 0.2)
     m_err = code_space_errors(basis, h)
-    want = m_err.T @ (probs.reshape(-1, 1) * m_err.conj())
-    got = _code_space_forms(basis, probs, h)[1]
-    assert np.max(np.abs(got - want)) < 1e-12
+    gram = m_err.T @ (probs.reshape(-1, 1) * m_err.conj())
+    eye = np.eye(code.dim).ravel()
+    norms, traces = _code_space_sums(basis, probs)
+    assert abs(norms - np.trace(gram)) < 1e-12
+    assert abs(traces - eye @ gram @ eye) < 1e-12
 
 
 def test_pue_nonstab_mc_exact_branch_generic_projector():
-    # Part I's functional is defined for any projector.  For a stabilizer
-    # code the quadratic form G is real, so only a projector with a complex
-    # Gram matrix tells G from its transpose.
+    # Part I's functional is defined for any projector, and so is the
+    # closed form: on a projector with complex code-space errors it matches
+    # the dense trace reference and the per-state error loop.
     rng = _rng(8)
     q, _ = np.linalg.qr(rng.standard_normal((16, 3))
                         + 1j * rng.standard_normal((16, 3)))
     p_op = q @ q.conj().T
     got = pue_nonstab_mc(p_op, 3, 0.2, 1200, seed=9)
-    want, want_stderr = nonstab_mc_exact_loop(p_op, 0.2, 1200, seed=9)
-    assert want > 0
-    assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
-    assert got.stderr == pytest.approx(want_stderr, rel=1e-8, abs=0)
-
-
-def _mean_square(est) -> float:
-    """The mean square of an estimate's values, from its mean and stderr."""
-    return est.estimate ** 2 + est.stderr ** 2 * (est.samples - 1)
+    mean = nonstab_mc_exact_loop(p_op, 0.2, 1200, seed=9)[0]
+    assert got.estimate == pytest.approx(nonstab_trace_reference(p_op, 0.2),
+                                         rel=1e-12, abs=0)
+    assert abs(mean - got.estimate) <= _variance_band(got.estimate, 1200)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_branch_equals_chunk_reference(name):
-    # Runs of states in real coordinates against the complex form over
-    # all states at once.  The stderr sqrt((mean square - mean^2) / (N - 1) / N)
-    # loses (mean / spread)^2 in relative precision, and is rounding noise
-    # where every state has the same value (bell, five13, trivial-n1); so
-    # the mean and the mean square it comes from are compared.
+    # The closed form, summed one run of shifts of the code-space table at
+    # a time, against the dense trace reference summed error by error.
     p_op, k = DIFFERENTIAL[name]
-    for total in filter(partial(_affordable, k), TOTALS):
-        got = pue_nonstab_mc(p_op, k, 0.2, total, seed=total)
-        want = nonstab_mc_exact_complex(p_op, 0.2, total, seed=total)
-        assert got.estimate == pytest.approx(want.estimate, rel=1e-12,
-                                             abs=1e-15)
-        assert _mean_square(got) == pytest.approx(_mean_square(want),
-                                                 rel=1e-12, abs=1e-15)
-        assert got.samples == total
+    for p in (0.05, 0.3, 0.75):
+        got = pue_nonstab_mc(p_op, k, p, 1000, seed=1)
+        assert got.estimate == pytest.approx(nonstab_trace_reference(p_op, p),
+                                             rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(self_orthogonal_codes(max_n=4))
+def test_exact_branch_equals_trace_reference_random(code):
+    p_op = code_projector(code)
+    for p in (0.1, 0.6):
+        got = pue_nonstab_mc(p_op, code.dim, p, 1000, seed=1).estimate
+        assert got == pytest.approx(nonstab_trace_reference(p_op, p),
+                                    rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("code", [get_code(name) for name in CATALOG_NAMES]
+                         + list(EXACT_CODES.values()),
+                         ids=[*CATALOG_NAMES, *EXACT_CODES])
+def test_exact_branch_equals_pue_nonstabilizer(code):
+    # K/(K + 1) times the stabilizer polynomial, from the enumerators.
+    p_op, pair = code_projector(code), stabilizer_enumerators(code)
+    for p in (0.0, 0.05, 0.1, 0.3, 0.75):
+        est = pue_nonstab_mc(p_op, code.dim, p, 1000, seed=1)
+        assert abs(est.estimate - pue_nonstabilizer(pair, p)) <= 1e-12, p
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_branch_runs_are_invisible(name, monkeypatch):
-    # A state's value does not depend on the run it is drawn in, so runs of
-    # one state each give the library's estimate up to the order of
-    # summation (compared as in test_exact_branch_equals_chunk_reference).
-    def one_state_runs(total, dim, cells, rng):
-        for _ in range(total):
-            yield from _gaussian_groups(1, dim, cells, rng)
+    # Within the rule no state is drawn: samples and seed only echo back,
+    # and the estimate is the same for every run, with stderr 0.
+    def no_draws(*args):
+        raise AssertionError("the closed form draws no state")
     p_op, k = DIFFERENTIAL[name]
+    monkeypatch.setattr(oracle, "_sphere_batch", no_draws)
+    monkeypatch.setattr(oracle, "_gaussian_groups", no_draws)
+    want = pue_nonstab_mc(p_op, k, 0.2, 1, seed=0).estimate
     for total in (1, 255, 257, 2049):
-        grouped = pue_nonstab_mc(p_op, k, 0.2, total, seed=3)
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_gaussian_groups", one_state_runs)
-            single = pue_nonstab_mc(p_op, k, 0.2, total, seed=3)
-        assert single.estimate == pytest.approx(grouped.estimate, rel=1e-12,
-                                                abs=1e-15)
-        assert _mean_square(single) == pytest.approx(_mean_square(grouped),
-                                                     rel=1e-12, abs=1e-15)
+        for seed in (0, 3):
+            est = pue_nonstab_mc(p_op, k, 0.2, total, seed=seed)
+            assert est == oracle.MCEstimate(want, 0.0, total, seed, 0.2)
+    # A seed the sampled branch would refuse is refused here too.
+    with pytest.raises(ValueError):
+        pue_nonstab_mc(p_op, k, 0.2, 1, seed=-1)
 
 
 @pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-0"],
