@@ -273,21 +273,6 @@ def dual(code: AdditiveCode) -> AdditiveCode:
     return AdditiveCode(n, gens)
 
 
-def adjoin_error(code: AdditiveCode, e: GF4Vector) -> AdditiveCode:
-    """Extend the code by a word of the dual that is not already in the code.
-
-    The extension stays self-orthogonal and halves the stabilized dimension.
-    """
-    if e.n != code.n:
-        raise ValueError("length mismatch")
-    if code.contains(e):
-        raise ValueError("word is already in the code; no extension")
-    if any(trace_inner(e, g) for g in code.generators):
-        raise ValueError("word is not in the dual; extension would not be "
-                         "self-orthogonal")
-    return AdditiveCode(code.n, code.generators + (e,))
-
-
 # ---------------------------------------------------------------------------
 # Code-file parsing.
 

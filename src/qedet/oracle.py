@@ -5,8 +5,8 @@ Everything the combinatorial modules compute can be recomputed here from
 the basis times phases i^k, built from the bit planes), stabilizer
 projectors as the product of (I + G)/2 over the generators, the
 trace-formula weight enumerators, the three-way error classification,
-partial traces, uniform sampling on the stabilized subspace, and exact or
-Monte Carlo evaluation of the undetected-error functionals.  All of it is
+partial traces, uniform sampling on the stabilized subspace, and exact
+evaluation of the undetected-error functionals.  All of it is
 capped at a handful of qubits by design.
 
 Sums over all 4^n errors are Walsh-Hadamard transforms.  In index form an
@@ -20,31 +20,26 @@ gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.
 `code_projector` returns a read-only array.  What the oracle derives from a
 read-only array that owns its data is kept until the array dies (`_kept`):
 K = Tr P with the 4^n tables of Tr(E P) and Tr(E P E P) (`_trace_tables`),
-which the enumerators sum and each classification reads one entry of, and
-the range basis L.  Any other array is derived afresh on every call.
+which the enumerators and both functionals sum and each classification
+reads one entry of, and the range basis L.  Any other array is derived
+afresh on every call.  For M_E = L^dag E L, ||M_E||_F^2 = Tr(E P E P) and
+|Tr M_E|^2 = |Tr(E P)|^2, so both functionals are closed forms in two
+sums over the tables (`_error_sums`), `pue_nonstab_mc` through the two
+sphere moments that the moment checks test by sampling.
 
 Uniform subspace states live in K code-space coordinates.  `_range_basis`
 gives an orthonormal basis L of range(P) (L L^dag = P) by a pivoted
 Cholesky; a state is v = L u for a normalized K-dimensional complex
-Gaussian u, and every per-state product goes through L instead of P:
-||P w||^2 = ||L^dag w||^2.  Whenever the code-space error table is small
-(4^n K^2 <= 2^16, `_code_space_fits`) both functionals are closed forms
-in the sums of ||M_E||_F^2 and |Tr M_E|^2 over M_E = L^dag E L
-(`_code_space_sums`), `pue_nonstab_mc` through the two sphere moments
-that the moment checks test by sampling.
-
-Every state takes 2K consecutive normals from the stream, read as K
-(real, imaginary) pairs, so the states a generator yields do not depend
-on how they are split into calls.  The two moment checks draw runs of
-states, as many as keep each temporary within _CHUNK_CELLS = 2^13 cells
+Gaussian u.  Every state takes 2K consecutive normals from the stream,
+read as K (real, imaginary) pairs, so the states a generator yields do not
+depend on how they are split into calls.  The two moment checks draw runs
+of states, as many as keep each temporary within _CHUNK_CELLS = 2^13 cells
 and at least _CHUNK, and hold them coordinate-major (K x N).  The fourth
 moment works on the K^2 real coordinates of conj(u) u^T.
 
-Monte Carlo estimators draw from numpy's PCG64 seeded with
+Seeded draws come from numpy's PCG64 seeded with
 SeedSequence(seed, spawn_key=(0,)) (`_seeded_rng`), so results are
-reproducible for a fixed seed.  A sampled error sum of `pue_nonstab_mc`
-draws in chunks of `_CHUNK`, a block of states and then a block of one
-error per state, which `_error_images` applies as it does in `simulate`.
+reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -68,7 +63,8 @@ COMPOSITE_CAP = 4  # unused by qedet; the benchmark's verify job reads it
 # classify_error_dense's tolerance on Tr(EPEP) against 0 and K and on
 # |Tr(EP)| against K; a stabilizer code's traces are dyadic sums, exact here.
 _CLASSIFY_TOL = 1e-10
-# Monte Carlo states (and simulated trials) drawn per block.
+# Simulated trials per block, and the fewest states a moment check draws
+# at once.
 _CHUNK = 256
 # Cells per temporary of a chunked array computation (a complex entry is two
 # cells): 2^13 float64 cells keep every temporary at 64 KiB, under glibc's
@@ -102,14 +98,11 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 def _check_dim(p_op: DenseOperator, dim: int) -> None:
-    """A projector's trace is its rank, which must be the declared K."""
+    """A projector's trace is its rank, which must be the declared K >= 1."""
+    if dim < 1:
+        raise ValueError(f"dimension dim must be at least 1, not {dim}")
     if abs(np.trace(p_op) - dim) > 1e-8:
         raise ValueError("projector rank does not match the declared dimension")
-
-
-def _code_space_fits(n: int, k: int) -> bool:
-    """4^n K^2 <= 2^16: the size rule of every exact code-space path."""
-    return 4 ** n * k * k <= 1 << 16
 
 
 def _check_p(p) -> tuple[int, int]:
@@ -587,7 +580,8 @@ def deviation_curve(kind: str, dim: int, sizes, replicates: int,
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo estimate with its standard error and its inputs."""
+    """The value of `pue_nonstab_mc` with its standard error (0, as the
+    value is a closed form) and its inputs."""
 
     estimate: float
     stderr: float
@@ -598,82 +592,46 @@ class MCEstimate:
 
 def pue_nonstab_mc(p_op: DenseOperator, dim: int, p: float, samples: int,
                    seed: int = 0, cap: int = DEFAULT_ORACLE_CAP) -> MCEstimate:
-    """Monte Carlo of the subspace-uniform undetected-error functional.
+    """The subspace-uniform undetected-error functional, in closed form.
 
-    Averages sum_E Pr(E) ||(I - vv*) P E v||^2 over uniform subspace states
-    v = L u, a value of ||M_E u||^2 - |u^dag M_E u|^2 per error for
-    M_E = L^dag E L.  Whenever the code-space error table is small,
-    4^n K^2 <= 2^16 for K = rank P (every code with n <= 4, and n = 5, 6, 7,
-    8 with K <= 8, 4, 2, 1), the average is taken in closed form and no
-    state is drawn: over the unit sphere of C^K, E||M u||^2 = ||M||_F^2/K
-    and E|u^dag M u|^2 = (|Tr M|^2 + ||M||_F^2)/(K(K+1)), summed over all
-    4^n errors (`_code_space_sums`), with stderr 0.  Otherwise states are
-    drawn in chunks of `_CHUNK`, each followed by a block of one error per
-    state sampled from the channel.  The identity error term is identically
-    zero (P v = v on the subspace) and is skipped, so p = 0 gives exactly 0,
-    as does n = 0, where no other error exists.
+    The mean over uniform subspace states v = L u of sum_E Pr(E)
+    ||(I - vv*) P E v||^2, a value of ||M_E u||^2 - |u^dag M_E u|^2 per
+    error for M_E = L^dag E L.  Over the unit sphere of C^K, E||M u||^2 =
+    ||M||_F^2/K and E|u^dag M u|^2 = (|Tr M|^2 + ||M||_F^2)/(K(K+1)),
+    summed over all errors by `_error_sums`.  No state is drawn: `samples`
+    and `seed` are checked and echoed, and stderr is 0.
     """
     _check_p(p)
     p = float(p)
     if samples < 1:
         raise ValueError("samples must be positive")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     n = (p_op.shape[0] - 1).bit_length()
     _check_cap(n, cap)
     _check_dim(p_op, dim)
-
-    if n == 0:
-        return MCEstimate(0.0, 0.0, samples, seed, p)
-    rng = _seeded_rng(seed)  # checks the seed on either branch
-    basis = _kept(p_op, _range_basis)
-    k = basis.shape[1]
-    if _code_space_fits(n, k):
-        norms, traces = _code_space_sums(basis, _error_table(n, p))
-        return MCEstimate(norms / k - (norms + traces) / (k * (k + 1)), 0.0,
-                          samples, seed, p)
-
-    h = _hadamard(n)
-    n_sum = sq_sum = 0.0
-    for done in range(0, samples, _CHUNK):
-        u = _sphere_batch(min(_CHUNK, samples - done), k, rng)
-        vals = _sampled_values(basis, h, u, *_sample_errors(n, p, rng, len(u)))
-        n_sum += float(vals.sum())
-        sq_sum += float((vals * vals).sum())
-
-    mean = n_sum / samples
-    var = (max(sq_sum - samples * mean * mean, 0.0) / (samples - 1)
-           if samples > 1 else 0.0)
-    return MCEstimate(mean, math.sqrt(var / samples), samples, seed, p)
+    norms, traces = _error_sums(p_op, p)
+    return MCEstimate(norms / dim - (norms + traces) / (dim * (dim + 1)), 0.0,
+                      samples, seed, p)
 
 
-def _code_space_sums(basis: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    """(sum_E Pr(E) ||M_E||_F^2, sum_E Pr(E) |Tr M_E|^2) for the code-space
-    errors M_E = L^dag E L under the index-form error table Pr(x, z).
-
-    L^dag E(x, z) L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]:
-    a gather over s and one Hadamard transform per shift x, whose phase
-    i^|x&z| cancels in both sums.  The (len(xs) 2^n, K^2) table of a run of
-    shifts xs holds as many shifts as keep it within _CHUNK_CELLS, and at
-    least one.
-    """
-    d, k = basis.shape
-    h, j, eye = _hadamard(d.bit_length() - 1), np.arange(d), np.eye(k).ravel()
-    step = max(_CHUNK_CELLS // (2 * d * k * k), 1)
-    norms = traces = 0.0
-    for lo in range(0, d, step):
-        xs = j[lo:lo + step]
-        f = basis.conj()[xs[:, None] ^ j][..., None] * basis[:, None, :]
-        m = (h @ f.reshape(len(xs), d, k * k)).reshape(-1, k * k)
-        pr = probs[xs].ravel()
-        norms += np.vdot(m, pr[:, None] * m).real
-        traces += pr @ np.abs(m @ eye) ** 2
-    return float(norms), float(traces)
+def _error_sums(p_op: DenseOperator, p: float) -> tuple[float, float]:
+    """(sum_E Pr(E) Tr(E P E P), sum_E Pr(E) |Tr(E P)|^2) over the
+    depolarizing channel's errors (`_error_table`), from the kept tables of
+    `_trace_tables`.  E is Hermitian and P = L L^dag, so these are the sums
+    of ||M_E||_F^2 and |Tr M_E|^2 for M_E = L^dag E L."""
+    _kept(p_op, _range_basis)  # refuses a matrix that is not a projector
+    _, t_ep, t_epep = _kept(p_op, _trace_tables)
+    probs = _error_table((p_op.shape[0] - 1).bit_length(), p)
+    return (float(np.vdot(probs, t_epep.real)),
+            float(np.vdot(probs, t_ep.real ** 2 + t_ep.imag ** 2)))
 
 
 def _error_images(basis: np.ndarray, hadamard: np.ndarray, u: np.ndarray,
                   x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(c, K) coordinates a = L^dag E(x, z) L u of each row u of a block of
     code-space states under its index-form error, up to the phase i^|x&z|
-    that every caller cancels: as E|k> = i^|x&z| (-1)^|k&z| |k^x>, v = L u
+    that `simulate` cancels: as E|k> = i^|x&z| (-1)^|k&z| |k^x>, v = L u
     times row z of the Hadamard matrix is read at j^x by one flat take."""
     d = len(hadamard)
     v = u @ basis.T
@@ -683,33 +641,16 @@ def _error_images(basis: np.ndarray, hadamard: np.ndarray, u: np.ndarray,
     return v.ravel().take(at) @ basis.conj()
 
 
-def _sampled_values(basis: np.ndarray, hadamard: np.ndarray, u: np.ndarray,
-                    x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """||P E v||^2 - |<v, P E v>|^2 for each state v = L u of a block, from
-    its coordinates u and a = L^dag E v (`_error_images`): ||a||^2 -
-    |<u, a>|^2, as L^dag L = I; identity errors give exactly 0."""
-    a = _error_images(basis, hadamard, u, x, z)
-    vals = (np.sum(np.abs(a) ** 2, axis=1)
-            - np.abs(np.sum(u.conj() * a, axis=1)) ** 2)
-    return np.where((x | z) == 0, 0.0, vals)
-
-
 def pue_composite_exact(p_op: DenseOperator, dim: int, p: float) -> float:
     """Deterministic evaluation of the entangled-transmission functional.
 
     Sums Pr(E) ||(I - bb*)(P x I)(E x I) b||^2 over all errors for the
     completely entangled state b = vec(L)/sqrt(K) between the subspace and a
     K-dimensional reference system.  For M_E = L^dag E L the terms are
-    ||M_E||_F^2/K - |Tr M_E|^2/K^2, summed by `_code_space_sums`.  Needs
-    4^n K^2 <= 2^16, which bounds the work, so no qubit cap applies.
+    ||M_E||_F^2/K - |Tr M_E|^2/K^2, summed by `_error_sums`.  No qubit cap
+    applies: its tables are no larger than P.
     """
     _check_p(p)
-    n = (p_op.shape[0] - 1).bit_length()
     _check_dim(p_op, dim)
-
-    if not _code_space_fits(n, dim):
-        raise ValueError(f"n={n} with K={dim} exceeds the exact code-space "
-                         f"rule 4^n K^2 <= 2^16")
-    norms, traces = _code_space_sums(_kept(p_op, _range_basis),
-                                     _error_table(n, p))
+    norms, traces = _error_sums(p_op, float(p))
     return norms / dim - traces / (dim * dim)

@@ -18,9 +18,8 @@ and values the fourth moment in real coordinates.  `nonstab_trace_reference`
 takes the closed form of the uniform functional from the traces of dense
 Pauli matrices against P, error by error, with no range basis.
 `code_space_errors` holds the whole (4^n, K^2) table of code-space errors
-L^dag E L, which the library sums one run of shifts at a time, and
-`twirl` forms sum_E Pr(E) E^dag P E in the full space, which the library
-only ever sums in code-space coordinates.  `pauli_action_gather`
+L^dag E L and `twirl` forms sum_E Pr(E) E^dag P E in the full space; the
+library takes the sums of both from the projector's trace tables.  `pauli_action_gather`
 gathers an error's signs from its Hadamard row, one index per entry, where
 the library scales the whole row by one sign, and `classify_error_loop`
 takes the syndrome with one `trace_inner` call per generator, where the
@@ -246,7 +245,8 @@ def nonstab_mc_exact_loop(p_op: np.ndarray, p: float, samples: int,
 def code_space_errors(basis: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
     """(4^n, K^2) array whose row (x, z) is vec(L^dag E(x, z) L), up to the
     error's global phase, for every index-form error at once: the whole
-    table `oracle._code_space_sums` sums one run of shifts at a time.
+    table whose two weighted sums `oracle._error_sums` reads off the trace
+    tables.
 
     L^dag E L [a, b] = i^|x&z| sum_s (-1)^|s&z| conj(L[s^x, a]) L[s, b]: a
     gather over x and one Hadamard transform over s.
@@ -265,16 +265,6 @@ def twirl(p_op: np.ndarray, probs: np.ndarray,
     j = np.arange(len(p_op))
     x = j[:, None, None]
     return np.sum(w[x, j[:, None] ^ j] * p_op[j[:, None] ^ x, j ^ x], axis=0)
-
-
-def sampled_values_dense(p_op: np.ndarray, v: np.ndarray,
-                         errors: list[GF4Vector]) -> np.ndarray:
-    """||P E v||^2 - |<v, P E v>|^2 per state, with E as a dense matrix."""
-    vals = []
-    for state, e in zip(v, errors):
-        u = p_op @ pauli_matrix(e, cap=e.n) @ state
-        vals.append(np.sum(np.abs(u) ** 2) - abs(np.vdot(state, u)) ** 2)
-    return np.array(vals)
 
 
 def simulate_loop(code, p_op: np.ndarray, p: float, trials: int,

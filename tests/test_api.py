@@ -13,13 +13,13 @@ import pytest
 
 import qedet
 from qedet.cli import build_parser
-from qedet.oracle import MCEstimate, MomentReport, verify_fourth_moment
+from qedet.oracle import (MCEstimate, MomentReport, deviation_curve,
+                          verify_fourth_moment, verify_mean_projector)
 from qedet.pue import PueResult
 
 PUBLIC_NAMES = [
     "AdditiveCode", "CATALOG", "CodeFormatError", "EnumeratorPair",
-    "GF4Vector", "SimReport", "WeightDistribution", "adjoin_error",
-    "all_vectors", "binomial_moments", "check_enum_properties",
+    "GF4Vector", "SimReport", "WeightDistribution", "all_vectors", "binomial_moments", "check_enum_properties",
     "classify_error", "classify_error_dense", "code_projector", "dual",
     "enumerators_bruteforce", "get_code", "hamming_weights",
     "label_to_vector", "macwilliams", "min_distance", "parse_code",
@@ -85,8 +85,12 @@ def test_cli_options_are_pinned():
     (lambda: qedet.macwilliams((1, 3), 1, 0, "code_to_dual"), "dim"),
     (lambda: verify_fourth_moment(0, 10, np.random.default_rng(0)), "dim"),
     (lambda: qedet.pue_classical((1, 0, 1), 1, 0.0), "q"),
+    (lambda: verify_mean_projector(np.eye(0), 0, 10,
+                                   np.random.default_rng(0)), "dim"),
+    (lambda: deviation_curve("mean_projector", 0, [10], 1), "dim"),
 ], ids=["macwilliams-dual_to_code", "macwilliams-code_to_dual",
-        "verify_fourth_moment", "pue_classical"])
+        "verify_fourth_moment", "pue_classical", "verify_mean_projector",
+        "deviation_curve"])
 def test_degenerate_sizes_raise_value_error(call, match):
     # A subspace dimension below 1 or an alphabet below 2 is refused by
     # name, as EnumeratorPair refuses dim < 1, not met by a division by 0.

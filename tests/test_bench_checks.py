@@ -36,8 +36,8 @@ def test_benchmark_job_checks_pass(workload, tiny):
 # prints them.  The dense digests date from the draw order in which each
 # subspace state is 2K consecutive normals (real, imaginary pairs): the
 # simulate jobs and the verify jobs' sampled checks read those states.
-# Every dense verify code is within the code-space rule, so its `mc=` value
-# is the closed form of the uniform functional, with stderr 0.
+# Every dense verify job's `mc=` value is the closed form of the uniform
+# functional, with stderr 0.
 ROUND0_DIGESTS = {
     "combinatorial": "610f24ce09d7390c3b38498189258cf7615d11ff28423088c60da1404fe3b8c2",
     "dense": "987f48cd92989c3bbac4e633f8d239927da7c12fb932a2f976b9c47bb235951d",

@@ -198,7 +198,7 @@ def test_verify_c422_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "check,status,detail"
     statuses = {line.split(",")[1] for line in lines[1:]}
-    assert statuses <= {"PASS", "SKIP"}
+    assert statuses == {"PASS"}
 
 
 def test_verify_one_sample_passes(capsys):
@@ -241,7 +241,8 @@ def test_verify_all_catalog_codes(capsys):
 
 
 def test_verify_composite_row_follows_size_rule(tmp_path, capsys):
-    # 4^n K^2 is 2^16 for this [[6,2]] code (K = 4): the composite row runs.
+    # The composite row runs on every code within the oracle cap, this
+    # [[6,2]] code (K = 4) included.
     g62 = tmp_path / "g62.code"
     g62.write_text("n=6 k=2\nXXXYXY\nXYYIII\nZZYZII\nIIYIZI\n")
     code, out, _ = run(capsys, "verify", str(g62), "--samples", "2000")
@@ -261,26 +262,36 @@ def test_verify_mc_band_does_not_collapse(capsys):
 
 def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys,
                                                       monkeypatch):
-    # The same trap under block draws of states and errors.  The error sum
-    # is sampled only where the code-space error table is large
-    # (4^n K^2 > 2^16), so this is a [[7,2,2]] code (K = 4) whose
-    # undetected errors are rare: one weight-2 logical operator.  This
-    # seed's estimate lies 8.58 of its own stderrs from the closed form,
-    # and 3.00 times the variance bound.
+    # A [[7,2,2]] code (K = 4, 4^n K^2 = 2^18) whose undetected errors are
+    # rare: one weight-2 logical operator.  Block draws of states and
+    # errors once put this seed's estimate 8.58 of its own stderrs from the
+    # closed form; both functionals are now closed forms, and both rows
+    # compare them with the polynomials.
     c72 = tmp_path / "c72.code"
     c72.write_text("n=7 k=2\nZIZXYZX\nZXIZIZZ\nIIIXYXZ\nXIYZYIY\nIYYIXYZ\n")
     monkeypatch.setenv("QED_ORACLE_CAP", "7")
     code, out, _ = run(capsys, "verify", str(c72), "--samples", "10000",
                        "--seed", "562")
     assert code == 0
-    assert "uniform_functional_mc,PASS,3.00 x stderr bound" in out
-    # 4^7 K^2 = 2^18 is beyond the exact code-space rule.
-    assert "\ncomposite_functional,SKIP," in out
+    assert "\nuniform_functional_mc,PASS,abs_err=" in out
+    assert "\ncomposite_functional,PASS,abs_err=" in out
     c = parse_code(c72.read_text())
     est = pue_nonstab_mc(code_projector(c, cap=7), c.dim, 0.1, 10000,
                          seed=562, cap=7)
     target = pue_nonstabilizer(stabilizer_enumerators(c), 0.1)
-    assert abs(est.estimate - target) > 5 * est.stderr
+    assert est.stderr == 0.0 and abs(est.estimate - target) <= 1e-12
+
+
+def test_verify_large_code_space_passes_every_row(tmp_path, capsys):
+    # A [[5,4]] code: K = 16, so 4^n K^2 = 2^18 and the fourth moment runs
+    # on 256 x 256 matrices.
+    c54 = tmp_path / "c54.code"
+    c54.write_text("n=5 k=4\nXZZXI\n")
+    code, out, _ = run(capsys, "verify", str(c54), "--samples", "2000")
+    assert code == 0, out
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == VERIFY_CHECKS
+    assert {r[1] for r in rows} == {"PASS"}
 
 
 def test_verify_zero_qubit_code(tmp_path, capsys):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qedet.gf4 import (ENUMERATION_CAP, AdditiveCode, CodeFormatError,
-                       GF4Vector, adjoin_error, all_vectors, dual,
-                       label_to_vector, parse_code, pauli_label, trace_inner)
+                       GF4Vector, all_vectors, dual, label_to_vector,
+                       parse_code, pauli_label, trace_inner)
 
 # --- independent GF(4) oracle -------------------------------------------------
 # Elements encoded 0, 1, 2, 3 for 0, 1, w, w^2 with w^2 = w + 1.
@@ -185,7 +185,7 @@ def _random_code(n: int, rank: int, rng) -> AdditiveCode:
             if rng.random() < 0.5:
                 pick = pick + g
         if not code.contains(pick):
-            code = adjoin_error(code, pick)
+            code = AdditiveCode(n, code.generators + (pick,))
     return code
 
 
@@ -248,18 +248,6 @@ def test_dual_is_an_involution():
     for n in range(1, 7):
         code = _random_code(n, rng.randint(1, n), rng)
         assert dual(dual(code)) == code
-
-
-def test_adjoin_error():
-    code = parse_code("XXXX\nZZZZ")
-    e = label_to_vector("XXII")
-    bigger = adjoin_error(code, e)
-    assert (bigger.rank, bigger.dim) == (3, 2)
-    assert bigger.is_self_orthogonal
-    with pytest.raises(ValueError):
-        adjoin_error(code, label_to_vector("XXXX"))  # already in the code
-    with pytest.raises(ValueError):
-        adjoin_error(code, label_to_vector("XIII"))  # not in the dual
 
 
 def test_from_generators_reduces_dependent_rows():

@@ -16,14 +16,13 @@ from hypothesis import given, settings
 from qedet import cli, oracle
 from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
-from qedet.gf4 import (AdditiveCode, GF4Vector, adjoin_error, all_vectors,
+from qedet.gf4 import (AdditiveCode, GF4Vector, all_vectors,
                        label_to_vector, trace_inner)
 from qedet.oracle import (_CHUNK, _CHUNK_CELLS, DETECTED,
                           TRIVIAL, UNDETECTABLE, MomentReport,
-                          _code_space_sums, _error_table, _gaussian_groups,
+                          _error_sums, _error_table, _gaussian_groups,
                           _hadamard, _hermitian_coordinates, _hermitian_frame,
-                          _pauli_action, _range_basis, _reverse_bits, _sample_errors,
-                          _sampled_values, _seeded_rng, _sphere_batch, _uniform_batch,
+                          _pauli_action, _range_basis, _seeded_rng, _sphere_batch, _uniform_batch,
                           classify_error,
                           classify_error_dense, code_projector,
                           enumerators_bruteforce, partial_trace, pauli_matrix,
@@ -36,7 +35,7 @@ from oracle_reference import (classify_error_dense_loop, classify_error_loop,
                               dense_traces, enumerators_loop,
                               fourth_moment_complex, mean_projector_complex,
                               nonstab_mc_exact_loop, nonstab_trace_reference,
-                              pauli_action_gather, sampled_values_dense, twirl)
+                              pauli_action_gather, twirl)
 from test_gf4 import _random_code, self_orthogonal_codes
 
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
@@ -82,10 +81,11 @@ def _random_n6_code(seed: int) -> AdditiveCode:
     return _random_code(6, rng.randint(2, 5), rng)
 
 
-# Codes whose code-space error table is too large (4^n K^2 > 2^16), so that
-# pue_nonstab_mc samples the error sum: n = 5 with K = 16 (rank 1) and
-# n = 6 with K >= 8 (random_n6_code seeds 1-4 have rank 3, 2, 3, 3).
-SAMPLED_CODES = {
+# Codes with a large code-space error table, 4^n K^2 > 2^16: n = 5 with
+# K = 16 (rank 1) and n = 6 with K >= 8 (random_n6_code seeds 1-4 have rank
+# 3, 2, 3, 3).  The closed forms read only the 4^n trace tables, so these
+# check them where the per-state references are costliest.
+LARGE_CODES = {
     "n5-r1-0": _random_code(5, 1, random.Random(0)),
     "n5-r1-1": _random_code(5, 1, random.Random(1)),
     **{f"random-n6-{s}": _random_n6_code(s) for s in range(1, 5)},
@@ -250,7 +250,7 @@ def test_projector_five13_eigentest():
 
 def test_adjoin_error_halves_projector_trace():
     code = get_code("c422")
-    bigger = adjoin_error(code, label_to_vector("XXII"))
+    bigger = AdditiveCode(4, code.generators + (label_to_vector("XXII"),))
     assert abs(np.trace(code_projector(bigger)).real - 2) < 1e-10
 
 
@@ -475,7 +475,7 @@ def test_kept_record_dies_with_the_projector():
 def test_writeable_projector_gets_its_new_contents():
     code = get_code("c422")
     xx = label_to_vector("XXII")
-    bigger = adjoin_error(code, xx)  # XXII joins the stabilizer, K = 2
+    bigger = AdditiveCode(4, code.generators + (xx,))  # K = 2
     before = set(oracle._KEPT)
     p_op = code_projector(code).copy()
     assert classify_error_dense(p_op, xx) == UNDETECTABLE
@@ -822,8 +822,8 @@ def test_fourth_moment_memory_is_bounded():
 
 
 def test_nonstab_mc_memory_is_bounded():
-    # g62's shape (n = 6, K = 4) takes the closed form; its sums run one
-    # shift at a time, with no 4^n x K^2 table.
+    # The closed form sums the projector's kept 4^n trace tables against
+    # one 4^n error table; no state and no code-space table is formed.
     code = _random_code(6, 4, random.Random(4))
     assert _traced_peak(pue_nonstab_mc, code_projector(code), code.dim, 0.1,
                         20000) < MiB // 2
@@ -863,31 +863,37 @@ def test_pue_nonstab_mc_rank_one_is_zero():
 
 
 def test_pue_nonstab_mc_within_band():
-    code = SAMPLED_CODES["random-n6-1"]
+    # A [[6, 3]] code (4^n K^2 = 2^18): the closed form, not a sample mean,
+    # so it equals K/(K + 1) times the stabilizer polynomial.
+    code = LARGE_CODES["random-n6-1"]
     p = code_projector(code)
     pair = stabilizer_enumerators(code)
     est = pue_nonstab_mc(p, code.dim, 0.1, 10000, seed=2)
-    target = pue_nonstabilizer(pair, 0.1)
-    assert abs(est.estimate - target) <= 4 * est.stderr
+    assert est.stderr == 0.0
+    assert abs(est.estimate - pue_nonstabilizer(pair, 0.1)) <= 1e-12
 
 
 def test_pue_nonstab_mc_sampled_error_path():
-    code = SAMPLED_CODES["n5-r1-0"]
+    # Every error is summed, none sampled: on an n = 5, K = 16 code the
+    # closed form equals the dense trace reference summed error by error.
+    code = LARGE_CODES["n5-r1-0"]
     p = code_projector(code)
-    pair = stabilizer_enumerators(code)
     est = pue_nonstab_mc(p, code.dim, 0.2, 20000, seed=3)
-    target = pue_nonstabilizer(pair, 0.2)
-    assert abs(est.estimate - target) <= 4 * est.stderr
-    assert est.stderr > 0
+    want = nonstab_trace_reference(p, 0.2)
+    assert want > 0 and est.stderr == 0.0
+    assert est.estimate == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_pue_nonstab_mc_reproducible_for_a_seed():
-    code = SAMPLED_CODES["random-n6-1"]
+    # The seed is checked and echoed; the estimate does not depend on it.
+    code = LARGE_CODES["random-n6-1"]
     p = code_projector(code)
     a = pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=5)
-    b = pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=5)
-    assert a == b
-    assert pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=6).estimate != a.estimate
+    b = pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=6)
+    assert a == oracle.MCEstimate(b.estimate, 0.0, 3001, 5, 0.1)
+    assert b.seed == 6
+    with pytest.raises(ValueError, match="seed"):
+        pue_nonstab_mc(p, code.dim, 0.1, 3001, seed=-1)
 
 
 def test_seeded_rng_keeps_the_spawn_key_0_stream():
@@ -915,12 +921,14 @@ EXACT_CODES = {
     ("five13", 0.1, 600),
     ("random-n5-r2", 0.2, 600),
     ("random-n6-r4", 0.1, 300),
+    ("n5-r1-0", 0.2, 600),
+    ("random-n6-1", 0.1, 300),
 ])
 def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples):
     # The closed form is the mean over uniform states of each state's exact
     # error sum, which the loop takes with one dense P E product per error:
     # the loop's sample mean lies within the variance-bound band.
-    code = EXACT_CODES[name] if name in EXACT_CODES else get_code(name)
+    code = {**EXACT_CODES, **LARGE_CODES}.get(name) or get_code(name)
     p_op = code_projector(code)
     got = pue_nonstab_mc(p_op, code.dim, p, samples, seed=7)
     mean, stderr = nonstab_mc_exact_loop(p_op, p, samples, seed=7)
@@ -936,25 +944,16 @@ def test_pue_nonstab_mc_exact_branch_equals_error_loop(name, p, samples):
     (5, 2, True), (6, 4, True), (5, 1, False), (6, 3, False),
 ])
 def test_pue_nonstab_mc_branch_rule_boundary(n, rank, exact):
-    # 4^n K^2 is 2^16 for n = 5, K = 8 and n = 6, K = 4 (closed form), and
-    # 2^18 for n = 5, K = 16 and n = 6, K = 8 (sampled).  Each side is
-    # shown against its own reference.
+    # 4^n K^2 is 2^16 for n = 5, K = 8 and n = 6, K = 4, and 2^18 for
+    # n = 5, K = 16 and n = 6, K = 8: on either side of that size the
+    # closed form equals the dense trace reference.
     code = _random_code(n, rank, random.Random(n + rank))
     assert (4 ** n * code.dim ** 2 <= 1 << 16) == exact
-    p_op, p, c, seed = code_projector(code), 0.2, 200, 13
-    got = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed)
-    if exact:
-        want = nonstab_trace_reference(p_op, p)
-    else:
-        rng = _seeded_rng(seed)
-        v = _uniform_batch(_range_basis(p_op), c, rng)
-        x, z = _sample_errors(n, p, rng, c)
-        errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))
-                  for a, b in zip(x, z)]
-        want = np.mean(sampled_values_dense(p_op, v, errors))
-    assert want > 0
+    p_op, p = code_projector(code), 0.2
+    got = pue_nonstab_mc(p_op, code.dim, p, 200, seed=13)
+    want = nonstab_trace_reference(p_op, p)
+    assert want > 0 and got.stderr == 0.0
     assert got.estimate == pytest.approx(want, rel=1e-12, abs=0)
-    assert (got.stderr == 0) == exact
 
 
 @pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422"])
@@ -969,7 +968,7 @@ def test_code_space_twirl_is_partial_trace_of_gram(name, p):
     basis = _range_basis(p_op)
     probs, h = _error_table(n, p), _hadamard(n)
     want = np.trace(basis.conj().T @ twirl(p_op, probs, h) @ basis)
-    assert abs(_code_space_sums(basis, probs)[0] - want) < 1e-12
+    assert abs(_error_sums(p_op, p)[0] - want) < 1e-12
 
 
 @pytest.mark.parametrize("code", [get_code("c422"), get_code("five13"),
@@ -977,16 +976,17 @@ def test_code_space_twirl_is_partial_trace_of_gram(name, p):
                                   EXACT_CODES["random-n6-r4"]],
                          ids=["c422", "five13", "random-n5-r2", "random-n6-r4"])
 def test_code_space_gram_equals_error_table(code):
-    # The two sums of the closed forms are the contractions Tr G and
-    # vec(I)^T G vec(I) of the Gram form of the whole (4^n, K^2) table of
-    # M_E, which the library never forms: it sums one run of shifts at a time.
+    # The two sums of the closed forms, taken from the trace tables, are
+    # the contractions Tr G and vec(I)^T G vec(I) of the Gram form of the
+    # whole (4^n, K^2) table of M_E = L^dag E L, which the library never
+    # forms.
     p_op = code_projector(code)
     basis, h = _range_basis(p_op), _hadamard(code.n)
     probs = _error_table(code.n, 0.2)
     m_err = code_space_errors(basis, h)
     gram = m_err.T @ (probs.reshape(-1, 1) * m_err.conj())
     eye = np.eye(code.dim).ravel()
-    norms, traces = _code_space_sums(basis, probs)
+    norms, traces = _error_sums(p_op, 0.2)
     assert abs(norms - np.trace(gram)) < 1e-12
     assert abs(traces - eye @ gram @ eye) < 1e-12
 
@@ -1008,8 +1008,8 @@ def test_pue_nonstab_mc_exact_branch_generic_projector():
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_branch_equals_chunk_reference(name):
-    # The closed form, summed one run of shifts of the code-space table at
-    # a time, against the dense trace reference summed error by error.
+    # The closed form, summed over the trace tables, against the dense
+    # trace reference summed error by error.
     p_op, k = DIFFERENTIAL[name]
     for p in (0.05, 0.3, 0.75):
         got = pue_nonstab_mc(p_op, k, p, 1000, seed=1)
@@ -1040,8 +1040,8 @@ def test_exact_branch_equals_pue_nonstabilizer(code):
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_exact_branch_runs_are_invisible(name, monkeypatch):
-    # Within the rule no state is drawn: samples and seed only echo back,
-    # and the estimate is the same for every run, with stderr 0.
+    # No state is drawn: samples and seed only echo back, and the estimate
+    # is the same for every run, with stderr 0.
     def no_draws(*args):
         raise AssertionError("the closed form draws no state")
     p_op, k = DIFFERENTIAL[name]
@@ -1052,37 +1052,14 @@ def test_exact_branch_runs_are_invisible(name, monkeypatch):
         for seed in (0, 3):
             est = pue_nonstab_mc(p_op, k, 0.2, total, seed=seed)
             assert est == oracle.MCEstimate(want, 0.0, total, seed, 0.2)
-    # A seed the sampled branch would refuse is refused here too.
+    # A negative seed is refused all the same.
     with pytest.raises(ValueError):
         pue_nonstab_mc(p_op, k, 0.2, 1, seed=-1)
 
 
-@pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-0"],
-                                  SAMPLED_CODES["random-n6-1"]],
-                         ids=["n5-r1", "random-n6"])
-def test_pue_nonstab_mc_sampled_chunk_values_equal_dense(code):
-    # The sampled branch draws a block of states, then a block of errors;
-    # one chunk's values must equal the dense-matrix formula on those draws.
-    n, p, c, seed = code.n, 0.3, 200, 11
-    p_op = code_projector(code)
-    rng = _seeded_rng(seed)
-    u = _sphere_batch(c, code.dim, rng)
-    v = u @ _range_basis(p_op).T
-    x, z = _sample_errors(n, p, rng, c)
-    errors = [GF4Vector(n, _reverse_bits(int(a), n), _reverse_bits(int(b), n))
-              for a, b in zip(x, z)]
-    got = _sampled_values(_range_basis(p_op), _hadamard(n), u, x, z)
-    want = sampled_values_dense(p_op, v, errors)
-    assert np.max(np.abs(got - want)) < 1e-12
-    assert np.all(got[(x | z) == 0] == 0.0)
-    assert 0 < np.sum((x | z) == 0) < c
-    est = pue_nonstab_mc(p_op, code.dim, p, c, seed=seed)
-    assert est.estimate == pytest.approx(np.mean(want), rel=1e-12, abs=0)
-
-
-@pytest.mark.parametrize("name", SAMPLED_CODES)
+@pytest.mark.parametrize("name", LARGE_CODES)
 def test_pue_nonstab_mc_sampled_branch_variance_band(name):
-    code = SAMPLED_CODES[name]
+    code = LARGE_CODES[name]
     p_op = code_projector(code)
     target = pue_nonstabilizer(stabilizer_enumerators(code), 0.1)
     band = _variance_band(target, 20000)
@@ -1092,8 +1069,8 @@ def test_pue_nonstab_mc_sampled_branch_variance_band(name):
         assert abs(est.estimate - target) <= band, (seed, est.estimate, target)
 
 
-@pytest.mark.parametrize("code", [SAMPLED_CODES["n5-r1-1"],
-                                  SAMPLED_CODES["random-n6-1"]],
+@pytest.mark.parametrize("code", [LARGE_CODES["n5-r1-1"],
+                                  LARGE_CODES["random-n6-1"]],
                          ids=["n5-r1", "random-n6"])
 def test_pue_nonstab_mc_zero_noise_sampled_branch(code):
     est = pue_nonstab_mc(code_projector(code), code.dim, 0.0, 1000, seed=0)
@@ -1141,19 +1118,15 @@ def test_composite_exact_rank_one_is_zero():
     (_random_code(6, 3, random.Random(9)), False),
 ], ids=["five13", "random-n5-r2", "random-n6-r4", "n5-r1", "n6-r3"])
 def test_composite_exact_size_rule_boundary(code, exact):
-    # The rule of pue_nonstab_mc's exact branch: 4^n K^2 is 2^12 for five13,
-    # 2^16 for n = 5, K = 8 and n = 6, K = 4 (evaluated), and 2^18 for
-    # n = 5, K = 16 and n = 6, K = 8 (refused).
+    # 4^n K^2 is 2^12 for five13, 2^16 for n = 5, K = 8 and n = 6, K = 4,
+    # and 2^18 for n = 5, K = 16 and n = 6, K = 8: every size is evaluated
+    # and equals the error loop.
     assert (4 ** code.n * code.dim ** 2 <= 1 << 16) == exact
     p_op = code_projector(code)
     for p in (0.05, 0.3):
-        if exact:
-            got = pue_composite_exact(p_op, code.dim, p)
-            assert got > 0
-            assert abs(got - composite_loop(p_op, code.dim, p)) <= 1e-13
-        else:
-            with pytest.raises(ValueError, match="4\\^n K\\^2"):
-                pue_composite_exact(p_op, code.dim, p)
+        got = pue_composite_exact(p_op, code.dim, p)
+        assert got > 0
+        assert abs(got - composite_loop(p_op, code.dim, p)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["trivial-n1", "bell", "c422", "five13"])
@@ -1187,6 +1160,26 @@ def test_declared_dimension_must_be_the_rank(call):
     # target, failing a correct sampler.
     with pytest.raises(ValueError, match="rank does not match"):
         call(code_projector(get_code("c422")))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p_op: pue_nonstab_mc(p_op, 2, 0.1, 10),
+    lambda p_op: pue_composite_exact(p_op, 2, 0.1),
+], ids=["pue_nonstab_mc", "pue_composite_exact"])
+def test_functionals_refuse_a_non_projector(call):
+    # 0.5 I has the declared trace 2 but is no projector; its trace tables
+    # alone would give a value.
+    with pytest.raises(ValueError, match="not a projector"):
+        call(0.5 * np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.75])
+def test_functionals_of_zero_qubits_are_zero(p):
+    # The only error on n = 0 qubits is the identity, whose entry of the
+    # error table is 0.
+    p_op = np.eye(1, dtype=complex)
+    assert pue_nonstab_mc(p_op, 1, p, 5) == oracle.MCEstimate(0.0, 0.0, 5, 0, p)
+    assert pue_composite_exact(p_op, 1, p) == 0.0
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.75])
