@@ -9,7 +9,7 @@ small qubit counts.  The `qed` command line wraps all of it.
 """
 
 from .gf4 import (AdditiveCode, CodeFormatError, GF4Vector, all_vectors, dual,
-                  label_to_vector, parse_code, pauli_label, trace_inner)
+                  parse_code, pauli_label, trace_inner)
 from .enumerators import (EnumeratorPair, WeightDistribution, binomial_moments,
                           check_enum_properties, hamming_weights, macwilliams,
                           min_distance, stabilizer_enumerators)

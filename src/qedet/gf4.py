@@ -90,19 +90,6 @@ def pauli_label(v: GF4Vector) -> str:
     return "".join(_LABEL_OF_BITS[v.symbol(i)] for i in range(v.n))
 
 
-def label_to_vector(label: str) -> GF4Vector:
-    """Inverse of pauli_label."""
-    x = z = 0
-    for i, ch in enumerate(label):
-        try:
-            xb, zb = _BITS_OF_LABEL[ch]
-        except KeyError:
-            raise CodeFormatError(f"unknown Pauli symbol {ch!r}") from None
-        x |= xb << i
-        z |= zb << i
-    return GF4Vector(len(label), x, z)
-
-
 def all_vectors(n: int) -> Iterator[GF4Vector]:
     """All 4^n words of length n, in a fixed deterministic order."""
     for x in range(1 << n):

@@ -15,7 +15,10 @@ error E(x, z) maps |j> to i^|x&z| (-1)^|j&z| |j^x>, so
     Tr(E A) = i^(3|x&z|) sum_j (-1)^|j&z| A[j^x, j],
 
 and the traces of one operator against every error are one product of the
-gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.
+gathered diagonals A[j^x, j] with the +-1 Hadamard matrix.  Tr(E P E P)
+is such a transform of an XOR-correlation of P's diagonals, which two
+more Hadamard products give (`_trace_tables`), with no loop over errors
+or shifts.
 
 `code_projector` returns a read-only array.  What the oracle derives from a
 read-only array that owns its data is kept until the array dies (`_kept`):
@@ -241,22 +244,20 @@ def _trace_tables(p_op: DenseOperator) -> tuple[float, np.ndarray, np.ndarray]:
     E(x, z), each table indexed [x, z] (read-only).
 
     Both tables come from Hadamard transforms (see the module docstring).
-    Tr(E P E P) = (-1)^|x&z| sum_y (-1)^|y&z| G_x[y], and (-1)^|x&z| =
-    H[x, z].  With A = P[j^x, :], G_x[y] = sum_j A[j, j^y] A[j^y, j]: one
-    elementwise product A * A^T and one gather at the flat XOR index
-    j 2^n + (j^y) per shift x, for a run of shifts at a time, as many as
-    keep the products within _CHUNK_CELLS, and at least one.
+    Tr(E P E P) = H[x, z] sum_y H[y, z] G[x, y] for
+    G[x, y] = sum_j P[j^x, j^y] P[j^x^y, j], as E P is the rows P[j^x, :]
+    with phases.  With m = j^x^y and the shifted diagonals
+    F[m, s] = P[m, m^s], a term is F[m^y, x^y] F[m, x^y], so
+    G[x, y] = C[y, x^y] for the XOR-correlation
+    C[w, s] = sum_m F[m, s] F[m^w, s].  The Hadamard matrix diagonalizes
+    XOR-correlation (H H = 2^n I): C = H ((H F) o (H F)) / 2^n, with o
+    the elementwise product.
     """
     n = (p_op.shape[0] - 1).bit_length()
     h, shifts = _hadamard(n), _shifts(n)
     j = shifts[0]
-    flat = (j[:, None] << n) + shifts
-    g = np.empty_like(p_op)
-    step = max(_CHUNK_CELLS // (2 << 2 * n), 1)
-    for lo in range(0, 1 << n, step):
-        a = p_op[shifts[lo:lo + step]]
-        g[lo:lo + step] = (a * a.transpose(0, 2, 1)).reshape(
-            len(a), -1).take(flat, axis=1).sum(axis=1)
+    f = h @ p_op[j[:, None], shifts]
+    g = (h @ (f * f))[j, shifts] / len(j)
     # Tr(E P) = i^(3|x&z|) (P[j^x, j] H)[x, z].
     t_ep = (_PHASES[3 * np.bitwise_count(j[:, None] & j) % 4]
             * (p_op[shifts, j] @ h))

@@ -26,7 +26,9 @@ takes the syndrome with one `trace_inner` call per generator, where the
 library reads parities against the code's precomputed keys.
 `dense_traces` and `classify_error_dense_loop` take Tr(E P) and
 Tr(E P E P) from one row gather per error, where the library looks them
-up in the projector's 4^n trace tables.
+up in the projector's 4^n trace tables.  `trace_tables_loop` builds those
+tables with one gathered product per shift x, where the library takes the
+XOR-correlation behind Tr(E P E P) from two Hadamard products.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ import numpy as np
 from qedet.chansim import _BORN_TOL, _CHUNK, _COLLINEAR
 from qedet.enumerators import EnumeratorPair
 from qedet.gf4 import GF4Vector, all_vectors, trace_inner
-from qedet.oracle import (_CLASSIFY_TOL, _PHASES, DETECTED, TRIVIAL,
-                          UNDETECTABLE, MomentReport, _bit_reversal,
+from qedet.oracle import (_CHUNK_CELLS, _CLASSIFY_TOL, _PHASES, DETECTED,
+                          TRIVIAL, UNDETECTABLE, MomentReport, _bit_reversal,
                           _hadamard, _pauli_action, _range_basis, _seeded_rng,
-                          _sphere_batch, _uniform_batch, pauli_matrix)
+                          _shifts, _sphere_batch, _uniform_batch,
+                          pauli_matrix)
 
 
 def error_probability(v: GF4Vector, p: float) -> float:
@@ -75,6 +78,27 @@ def dense_traces(p_op: np.ndarray, e: GF4Vector) -> tuple[complex, complex]:
     a = p_op[rows]
     return (complex(phases @ a.diagonal()),
             complex(phases @ (a * a.T) @ phases))
+
+
+def trace_tables_loop(p_op: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """`oracle._trace_tables` shift by shift.  Tr(E P E P) = H[x, z]
+    sum_y H[y, z] G_x[y], and with A = P[j^x, :], G_x[y] = sum_j A[j, j^y]
+    A[j^y, j]: one elementwise product A * A^T and one gather at the flat
+    XOR index j 2^n + (j^y) per shift x, for a run of shifts at a time, as
+    many as keep the products within _CHUNK_CELLS, and at least one."""
+    n = (p_op.shape[0] - 1).bit_length()
+    h, shifts = _hadamard(n), _shifts(n)
+    j = shifts[0]
+    flat = (j[:, None] << n) + shifts
+    g = np.empty_like(p_op)
+    step = max(_CHUNK_CELLS // (2 << 2 * n), 1)
+    for lo in range(0, 1 << n, step):
+        a = p_op[shifts[lo:lo + step]]
+        g[lo:lo + step] = (a * a.transpose(0, 2, 1)).reshape(
+            len(a), -1).take(flat, axis=1).sum(axis=1)
+    t_ep = (_PHASES[3 * np.bitwise_count(j[:, None] & j) % 4]
+            * (p_op[shifts, j] @ h))
+    return float(p_op.trace().real), t_ep, h * (g @ h)
 
 
 def classify_error_dense_loop(p_op: np.ndarray, e: GF4Vector) -> str:

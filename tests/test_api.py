@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "GF4Vector", "SimReport", "WeightDistribution", "all_vectors", "binomial_moments", "check_enum_properties",
     "classify_error", "classify_error_dense", "code_projector", "dual",
     "enumerators_bruteforce", "get_code", "hamming_weights",
-    "label_to_vector", "macwilliams", "min_distance", "parse_code",
+    "macwilliams", "min_distance", "parse_code",
     "partial_trace", "pauli_label", "pauli_matrix", "pue_classical",
     "pue_composite", "pue_composite_exact", "pue_nonstab_mc",
     "pue_nonstabilizer", "pue_stabilizer", "pue_stabilizer_direct",

@@ -282,16 +282,22 @@ def test_verify_mc_band_does_not_collapse_block_draws(tmp_path, capsys,
     assert est.stderr == 0.0 and abs(est.estimate - target) <= 1e-12
 
 
-def test_verify_large_code_space_passes_every_row(tmp_path, capsys):
-    # A [[5,4]] code: K = 16, so 4^n K^2 = 2^18 and the fourth moment runs
-    # on 256 x 256 matrices.
-    c54 = tmp_path / "c54.code"
-    c54.write_text("n=5 k=4\nXZZXI\n")
-    code, out, _ = run(capsys, "verify", str(c54), "--samples", "2000")
-    assert code == 0, out
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert [r[0] for r in rows] == VERIFY_CHECKS
-    assert {r[1] for r in rows} == {"PASS"}
+def test_verify_large_code_space_passes_every_row(tmp_path, capsys,
+                                                  monkeypatch):
+    # A [[5,4]] code: K = 16, so the fourth moment runs on 256 x 256
+    # matrices.  Then the [[8,3,3]] code, past the default cap of 6 qubits.
+    cases = {"c54": ("n=5 k=4\nXZZXI\n", "6"),
+             "c833": ("XXXXXXXX\nZZZZZZZZ\nIXIXYZYZ\nIXZYIXZY\nIYXZXZIY\n",
+                      "8")}
+    for name, (text, cap) in cases.items():
+        monkeypatch.setenv("QED_ORACLE_CAP", cap)
+        path = tmp_path / f"{name}.code"
+        path.write_text(text)
+        code, out, _ = run(capsys, "verify", str(path), "--samples", "2000")
+        assert code == 0, (name, out)
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == VERIFY_CHECKS, name
+        assert {r[1] for r in rows} == {"PASS"}, (name, out)
 
 
 def test_verify_zero_qubit_code(tmp_path, capsys):

@@ -13,8 +13,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qedet.gf4 import (ENUMERATION_CAP, AdditiveCode, CodeFormatError,
-                       GF4Vector, all_vectors, dual, label_to_vector,
-                       parse_code, pauli_label, trace_inner)
+                       GF4Vector, all_vectors, dual, parse_code, pauli_label,
+                       trace_inner)
+
+
+def label_to_vector(label: str) -> GF4Vector:
+    """The word of a Pauli label string, the inverse of pauli_label: bit i
+    of the x plane is X or Y at position i, of the z plane Z or Y."""
+    if set(label) - set("IXZY"):
+        raise ValueError(f"not a Pauli label: {label!r}")
+    x = sum(1 << i for i, ch in enumerate(label) if ch in "XY")
+    z = sum(1 << i for i, ch in enumerate(label) if ch in "ZY")
+    return GF4Vector(len(label), x, z)
+
 
 # --- independent GF(4) oracle -------------------------------------------------
 # Elements encoded 0, 1, 2, 3 for 0, 1, w, w^2 with w^2 = w + 1.

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from qedet import cli, oracle
 from qedet.catalog import get_code
 from qedet.enumerators import stabilizer_enumerators
-from qedet.gf4 import (AdditiveCode, GF4Vector, all_vectors,
-                       label_to_vector, trace_inner)
+from qedet.gf4 import (AdditiveCode, GF4Vector, all_vectors, parse_code,
+                       trace_inner)
 from qedet.oracle import (_CHUNK, _CHUNK_CELLS, DETECTED,
                           TRIVIAL, UNDETECTABLE, MomentReport,
                           _error_sums, _error_table, _gaussian_groups,
@@ -35,8 +35,8 @@ from oracle_reference import (classify_error_dense_loop, classify_error_loop,
                               dense_traces, enumerators_loop,
                               fourth_moment_complex, mean_projector_complex,
                               nonstab_mc_exact_loop, nonstab_trace_reference,
-                              pauli_action_gather, twirl)
-from test_gf4 import _random_code, self_orthogonal_codes
+                              pauli_action_gather, trace_tables_loop, twirl)
+from test_gf4 import _random_code, label_to_vector, self_orthogonal_codes
 
 CATALOG_NAMES = ("trivial-n1", "bell", "c422", "five13")
 
@@ -299,6 +299,20 @@ def test_bruteforce_equals_error_loop_random_n6(rank):
     assert enumerators_bruteforce(p_op, code.dim) == enumerators_loop(p_op, code.dim)
 
 
+# Gottesman's [[8,3,3]] code, past the default cap of 6 qubits.
+C833 = parse_code("XXXXXXXX\nZZZZZZZZ\nIXIXYZYZ\nIXZYIXZY\nIYXZXZIY\n")
+
+
+def test_bruteforce_pins_the_833_code_at_cap_8():
+    # The stabilizer has 2^(n-k) = 32 elements and the normalizer
+    # 4^n/32 = 2^n K = 2048, which the coefficients must sum to.
+    pair = enumerators_bruteforce(code_projector(C833, cap=8), 8, cap=8)
+    assert pair.weights == (1, 0, 0, 0, 0, 0, 28, 0, 3)
+    assert pair.dual_weights == (1, 0, 0, 56, 210, 336, 728, 504, 213)
+    assert (sum(pair.weights), sum(pair.dual_weights)) == (32, 2048)
+    assert pair == stabilizer_enumerators(C833)
+
+
 # --- error classification ---------------------------------------------------
 
 
@@ -401,6 +415,41 @@ def test_trace_tables_equal_row_gather_random(code):
 
 def test_trace_tables_equal_row_gather_random_n6():
     _assert_tables_equal_row_gather(RANDOM_N6, all_vectors(6))
+
+
+def _assert_tables_equal_shift_loop(p_op, tol=0.0):
+    # Both tables against the per-shift loop: equal arrays for a stabilizer
+    # projector, whose entries are dyadic, so that every sum is exact.
+    k, t_ep, t_epep = oracle._trace_tables(p_op)
+    want_k, want_ep, want_epep = trace_tables_loop(p_op)
+    assert k == want_k
+    if tol == 0.0:
+        assert np.array_equal(t_ep, want_ep)
+        assert np.array_equal(t_epep, want_epep)
+    else:
+        assert np.max(np.abs(t_ep - want_ep)) <= tol
+        assert np.max(np.abs(t_epep - want_epep)) <= tol
+
+
+@pytest.mark.parametrize("code", [*map(get_code, CATALOG_NAMES), RANDOM_N6,
+                                  _random_code(7, 3, random.Random(7))],
+                         ids=[*CATALOG_NAMES, "random-n6", "random-n7"])
+def test_trace_tables_equal_shift_loop(code):
+    _assert_tables_equal_shift_loop(code_projector(code, cap=7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(self_orthogonal_codes(max_n=5))
+def test_trace_tables_equal_shift_loop_random(code):
+    _assert_tables_equal_shift_loop(code_projector(code))
+
+
+@pytest.mark.parametrize("n,k,seed", [(1, 1, 3), (3, 3, 21), (4, 2, 5),
+                                      (5, 7, 8)])
+def test_trace_tables_equal_shift_loop_generic_projector(n, k, seed):
+    # Entries of a random complex subspace's projector are not dyadic, so
+    # the two builds round differently.
+    _assert_tables_equal_shift_loop(_generic_projector(n, k, seed), 1e-12)
 
 
 def test_classify_dense_rejects_a_word_of_another_length():
@@ -705,8 +754,8 @@ def _generic_projector(n: int, k: int, seed: int) -> np.ndarray:
     return q @ q.conj().T
 
 
-# Projectors with their rank K in {1, 2, 3, 4, 8, 16}, all inside the
-# exact-branch rule 4^n K^2 <= 2^16.
+# Projectors with their rank K in {1, 2, 3, 4, 8, 16}, small enough for the
+# complex-coordinate moment references.
 DIFFERENTIAL = {
     "bell": (code_projector(get_code("bell")), 1),
     "trivial-n1": (code_projector(get_code("trivial-n1")), 2),
@@ -904,8 +953,8 @@ def test_seeded_rng_keeps_the_spawn_key_0_stream():
         assert np.array_equal(_seeded_rng(seed).random(8), want.random(8))
 
 
-# Random codes inside the exact-branch rule 4^n K^2 <= 2^16; the n = 5,
-# K = 8 and n = 6, K = 4 codes sit on its boundary.
+# Random codes on 4, 5 and 6 qubits whose (4^n, K^2) code-space error
+# tables (`code_space_errors`) have at most 2^16 entries.
 EXACT_CODES = {
     "random-n4": _random_code(4, 2, random.Random(4)),
     "random-n5-r2": _random_code(5, 2, random.Random(5)),
@@ -1059,20 +1108,20 @@ def test_exact_branch_runs_are_invisible(name, monkeypatch):
 
 @pytest.mark.parametrize("name", LARGE_CODES)
 def test_pue_nonstab_mc_sampled_branch_variance_band(name):
+    # The closed form on the large codes: one call, K/(K + 1) times the
+    # stabilizer polynomial.
     code = LARGE_CODES[name]
-    p_op = code_projector(code)
     target = pue_nonstabilizer(stabilizer_enumerators(code), 0.1)
-    band = _variance_band(target, 20000)
-    assert band > 0
-    for seed in range(20):
-        est = pue_nonstab_mc(p_op, code.dim, 0.1, 20000, seed=seed)
-        assert abs(est.estimate - target) <= band, (seed, est.estimate, target)
+    est = pue_nonstab_mc(code_projector(code), code.dim, 0.1, 20000, seed=0)
+    assert target > 0 and est.stderr == 0.0
+    assert abs(est.estimate - target) <= 1e-12
 
 
 @pytest.mark.parametrize("code", [LARGE_CODES["n5-r1-1"],
                                   LARGE_CODES["random-n6-1"]],
                          ids=["n5-r1", "random-n6"])
 def test_pue_nonstab_mc_zero_noise_sampled_branch(code):
+    # The closed form of a large code at p = 0 is exactly 0.
     est = pue_nonstab_mc(code_projector(code), code.dim, 0.0, 1000, seed=0)
     assert est.estimate == 0.0 and est.stderr == 0.0
 
@@ -1081,10 +1130,13 @@ def test_pue_nonstab_mc_zero_noise_sampled_branch(code):
     ("c422", 0.75), ("five13", 0.75), ("trivial-n1", 0.1), ("trivial-n1", 0.75),
 ])
 def test_pue_nonstab_mc_edge_cases_within_band(name, p):
+    # The closed form at the edge p = 3/4 and on the one-qubit code: one
+    # call, equal to the dense trace reference and to the polynomial.
     code = get_code(name)
-    target = pue_nonstabilizer(stabilizer_enumerators(code), p)
-    est = pue_nonstab_mc(code_projector(code), code.dim, p, 20000, seed=2)
-    assert abs(est.estimate - target) <= _variance_band(target, 20000)
+    p_op = code_projector(code)
+    est = pue_nonstab_mc(p_op, code.dim, p, 20000, seed=2).estimate
+    assert abs(est - nonstab_trace_reference(p_op, p)) <= 1e-12
+    assert abs(est - pue_nonstabilizer(stabilizer_enumerators(code), p)) <= 1e-12
 
 
 # --- composite-system functional -----------------------------------------------
