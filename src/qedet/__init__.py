@@ -17,7 +17,7 @@ from .pue import (pue_classical, pue_composite, pue_nonstabilizer,
                   pue_stabilizer, pue_stabilizer_direct, pue_via_moments,
                   sweep, sweep_csv)
 from .oracle import (classify_error, classify_error_dense, code_projector,
-                     enumerators_bruteforce, partial_trace, pauli_matrix,
+                     enumerators_bruteforce, pauli_matrix,
                      pue_composite_exact, pue_nonstab_mc, uniform_state,
                      verify_fourth_moment, verify_mean_projector)
 from .chansim import SimReport, simulate

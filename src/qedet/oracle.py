@@ -5,9 +5,9 @@ Everything the combinatorial modules compute can be recomputed here from
 the basis times phases i^k, built from the bit planes), stabilizer
 projectors as the product of (I + G)/2 over the generators, the
 trace-formula weight enumerators, the three-way error classification,
-partial traces, uniform sampling on the stabilized subspace, and exact
-evaluation of the undetected-error functionals.  All of it is
-capped at a handful of qubits by design.
+uniform sampling on the stabilized subspace, and exact evaluation of the
+undetected-error functionals.  All of it is capped at a handful of qubits
+by design.
 
 Sums over all 4^n errors are Walsh-Hadamard transforms.  In index form an
 error E(x, z) maps |j> to i^|x&z| (-1)^|j&z| |j^x>, so
@@ -38,7 +38,10 @@ read as K (real, imaginary) pairs, so the states a generator yields do not
 depend on how they are split into calls.  The two moment checks draw runs
 of states, as many as keep each temporary within _CHUNK_CELLS = 2^13 cells
 and at least _CHUNK, and hold them coordinate-major (K x N).  The fourth
-moment works on the K^2 real coordinates of conj(u) u^T.
+moment works on the K^2 real coordinates q of H = conj(u) u^T, an isometric
+image of vec(H), so a Frobenius norm is the same in either.  There the
+target (I + SWAP)/(K (K + 1)) reads (q_I q_I^T + I)/(K (K + 1)), q_I
+marking the K diagonal coordinates.
 
 Seeded draws come from numpy's PCG64 seeded with
 SeedSequence(seed, spawn_key=(0,)) (`_seeded_rng`), so results are
@@ -356,19 +359,6 @@ def classify_error_dense(p_op: DenseOperator, e: GF4Vector,
     return UNDETECTABLE
 
 
-def partial_trace(m: DenseOperator, dims: tuple[int, int], over: str) -> DenseOperator:
-    """Partial trace over the first or second tensor factor."""
-    d1, d2 = dims
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    t = m.reshape(d1, d2, d1, d2)
-    if over == "first":
-        return np.einsum("ijik->jk", t)
-    if over == "second":
-        return np.einsum("ijkj->ik", t)
-    raise ValueError(f"over must be 'first' or 'second', not {over!r}")
-
-
 def _range_basis(p_op: DenseOperator) -> np.ndarray:
     """(2^n, K) matrix L with orthonormal columns and L L^dag = P.
 
@@ -465,10 +455,10 @@ def _pairs(k: int) -> np.ndarray:
 
 
 def _hermitian_coordinates(g: np.ndarray) -> np.ndarray:
-    """(K^2, N) real coordinates of conj(u) u^T for the normalized columns
-    u of a (2, K, N) group of `_gaussian_groups`: |u_a|^2, then sqrt2 Re and
-    sqrt2 Im of conj(u_a) u_b for the pairs a < b of `_pairs`.  Then
-    vec(conj(u) u^T) = B q for the frame B of `_hermitian_frame`.
+    """(K^2, N) real coordinates q of H = conj(u) u^T for the normalized
+    columns u of a (2, K, N) group of `_gaussian_groups`: |u_a|^2, then
+    sqrt2 Re and sqrt2 Im of conj(u_a) u_b for the pairs a < b of `_pairs`.
+    The sqrt2 makes q an isometric image of vec(H): q_i . q_j = Tr(H_i H_j).
     """
     k = g.shape[1]
     a, b = _pairs(k)
@@ -480,25 +470,6 @@ def _hermitian_coordinates(g: np.ndarray) -> np.ndarray:
     q[k:] *= math.sqrt(2)
     q /= q[:k].sum(axis=0)  # sum_a |u_a|^2 normalizes u
     return q
-
-
-def _hermitian_frame(k: int) -> np.ndarray:
-    """The unitary (K^2, K^2) matrix B with vec(conj(u) u^T) = B q for the
-    K^2 real coordinates q of `_hermitian_coordinates` (vec row-major).
-
-    Column a < K is e_(a,a); for the p-th pair a < b, column K + p is
-    (e_(a,b) + e_(b,a))/sqrt2 and column K + P + p is
-    i (e_(a,b) - e_(b,a))/sqrt2, with P = K (K - 1)/2 pairs.
-    """
-    a, b = _pairs(k)
-    pairs = k + np.arange(len(a))
-    r = 1 / math.sqrt(2)
-    frame = np.zeros((k * k, k * k), dtype=complex)
-    frame[np.arange(k) * (k + 1), np.arange(k)] = 1
-    frame[a * k + b, pairs] = frame[b * k + a, pairs] = r
-    frame[a * k + b, pairs + len(a)] = 1j * r
-    frame[b * k + a, pairs + len(a)] = -1j * r
-    return frame
 
 
 def verify_mean_projector(p_op: DenseOperator, dim: int, samples: int,
@@ -525,30 +496,27 @@ def verify_fourth_moment(dim: int, samples: int,
                          rng: np.random.Generator) -> MomentReport:
     """Check the fourth-moment identity for uniform states on a K-sphere.
 
-    The mean of vv* (x) vv* must equal (I + SWAP) / (K (K + 1)); the identity
-    and swap operators span the unitarily invariant subspace.  Its entry
-    [(a, b), (c, d)] is the mean of H_ac H_bd for H = v v^dag, and
-    vec(H) = conj(B q) for the real coordinates q of `_hermitian_coordinates`:
-    each run of states adds Q Q^T, K^4 real multiply-adds a state.  One
-    sample lies sqrt(1 - 2/(K (K + 1))) from the target in Frobenius norm.
+    The mean of vv* (x) vv* must equal (I + SWAP) / (K (K + 1)), that is
+    E[H_ab conj(H_cd)] = (d_ab d_cd + d_ac d_bd) / (K (K + 1)) for
+    H = v v^dag.  In the real coordinates q of `_hermitian_coordinates`
+    the target is E[q q^T] = (q_I q_I^T + I) / (K (K + 1)), where q_I marks
+    the K diagonal coordinates; as q is an isometric image of vec(H), the
+    Frobenius distance of the mean of q q^T from it is the distance in the
+    complex entries.  Each run of states adds Q Q^T, K^4 real multiply-adds
+    a state.  One sample lies sqrt(1 - 2/(K (K + 1))) from the target.
     """
     if dim < 1:
         raise ValueError(f"dimension dim must be at least 1, not {dim}")
-    swap = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            swap[i * dim + j, j * dim + i] = 1
-    target = (np.eye(dim * dim) + swap) / (dim * (dim + 1))
-    total = 0.0
+    total = np.zeros((dim * dim, dim * dim))
     for g in _gaussian_groups(samples, dim, dim * dim, rng):
         q = _hermitian_coordinates(g)
-        total = total + q @ q.T
-    frame = _hermitian_frame(dim).conj()
-    x = (frame @ (total / samples) @ frame.T).reshape((dim,) * 4)
-    mean = x.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
-    return MomentReport(float(np.linalg.norm(mean - target)),
-                        math.sqrt((1 - 2 / (dim * (dim + 1))) / samples),
-                        samples)
+        total += q @ q.T
+    total /= samples
+    c = 1 / (dim * (dim + 1))
+    total[:dim, :dim] -= c
+    total.flat[::dim * dim + 1] -= c
+    return MomentReport(float(np.linalg.norm(total)),
+                        math.sqrt((1 - 2 * c) / samples), samples)
 
 
 def deviation_curve(kind: str, dim: int, sizes, replicates: int,

@@ -19,7 +19,7 @@ from qedet.enumerators import (check_enum_properties, macwilliams,
                                min_distance, stabilizer_enumerators)
 from qedet.gf4 import all_vectors, parse_code, trace_inner
 from qedet.oracle import (code_projector, deviation_curve,
-                          enumerators_bruteforce, partial_trace, pauli_matrix,
+                          enumerators_bruteforce, pauli_matrix,
                           pue_composite_exact, pue_nonstab_mc, uniform_state,
                           verify_mean_projector, verify_fourth_moment)
 from qedet.pue import (pue_nonstabilizer, pue_stabilizer,
@@ -209,15 +209,3 @@ def test_10_identity_suite():
                     sign = (-1) ** trace_inner(v1, v2)
                     assert abs(np.sum(prod * prod.T) - sign * scale) < 1e-10
                     assert np.allclose(prod, sign * (m2 @ m1), atol=1e-12)
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            kron = np.kron(a, b)
-            assert np.allclose(partial_trace(kron, (3, 4), "second"),
-                               np.trace(b) * a, atol=1e-10)
-            assert np.allclose(partial_trace(kron, (3, 4), "first"),
-                               np.trace(a) * b, atol=1e-10)
-            assert abs(np.trace(partial_trace(m, (3, 4), "second"))
-                       - np.trace(m)) < 1e-10

@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "classify_error", "classify_error_dense", "code_projector", "dual",
     "enumerators_bruteforce", "get_code", "hamming_weights",
     "macwilliams", "min_distance", "parse_code",
-    "partial_trace", "pauli_label", "pauli_matrix", "pue_classical",
+    "pauli_label", "pauli_matrix", "pue_classical",
     "pue_composite", "pue_composite_exact", "pue_nonstab_mc",
     "pue_nonstabilizer", "pue_stabilizer", "pue_stabilizer_direct",
     "pue_via_moments", "simulate", "stabilizer_enumerators", "sweep",

@@ -309,13 +309,14 @@ def test_verify_zero_qubit_code(tmp_path, capsys):
 
 
 def test_verify_code_without_generators(tmp_path, capsys):
-    # P = I on four qubits: K = 16, so the fourth-moment check runs on
-    # 256 x 256 matrices.
-    whole = tmp_path / "whole.code"
-    whole.write_text("n=4 k=4\n")
-    code, out, _ = run(capsys, "verify", str(whole))
-    assert code == 0, out
-    assert ",FAIL," not in out
+    # P = I on n qubits: K = 2^n, so the fourth-moment check runs on
+    # K^2 x K^2 matrices (256 x 256 at n = 4, 1024 x 1024 at n = 5).
+    for n in (4, 5):
+        whole = tmp_path / f"whole{n}.code"
+        whole.write_text(f"n={n} k={n}\n")
+        code, out, _ = run(capsys, "verify", str(whole))
+        assert code == 0, out
+        assert ",FAIL," not in out
 
 
 def test_verify_oracle_cap_message(tmp_path, capsys):

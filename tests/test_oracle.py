@@ -1,5 +1,5 @@
 """Dense-matrix oracle: Pauli algebra, projectors, trace enumerators,
-classification, partial traces, subspace sampling, and the MC functionals."""
+classification, subspace sampling, and the MC functionals."""
 
 from __future__ import annotations
 
@@ -21,11 +21,11 @@ from qedet.gf4 import (AdditiveCode, GF4Vector, all_vectors, parse_code,
 from qedet.oracle import (_CHUNK, _CHUNK_CELLS, DETECTED,
                           TRIVIAL, UNDETECTABLE, MomentReport,
                           _error_sums, _error_table, _gaussian_groups,
-                          _hadamard, _hermitian_coordinates, _hermitian_frame,
+                          _hadamard, _hermitian_coordinates,
                           _pauli_action, _range_basis, _seeded_rng, _sphere_batch, _uniform_batch,
                           classify_error,
                           classify_error_dense, code_projector,
-                          enumerators_bruteforce, partial_trace, pauli_matrix,
+                          enumerators_bruteforce, pauli_matrix,
                           pue_composite_exact, pue_nonstab_mc,
                           uniform_state, verify_mean_projector, verify_fourth_moment)
 from qedet.pue import pue_composite, pue_nonstabilizer, pue_stabilizer
@@ -537,39 +537,6 @@ def test_writeable_projector_gets_its_new_contents():
     assert set(oracle._KEPT) <= before
 
 
-# --- partial traces ----------------------------------------------------------
-
-
-def test_partial_trace_identity_factor():
-    rng = _rng(0)
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = np.kron(np.eye(4), b)
-    assert np.allclose(partial_trace(m, (4, 3), "first"), 4 * b)
-
-
-def test_partial_trace_of_product():
-    rng = _rng(1)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    m = np.kron(a, b)
-    assert np.allclose(partial_trace(m, (2, 5), "second"), np.trace(b) * a, atol=1e-12)
-    assert np.allclose(partial_trace(m, (2, 5), "first"), np.trace(a) * b, atol=1e-12)
-
-
-def test_partial_trace_composition():
-    rng = _rng(2)
-    for _ in range(100):
-        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        full = np.trace(m)
-        assert abs(np.trace(partial_trace(m, (3, 4), "second")) - full) < 1e-10
-        assert abs(np.trace(partial_trace(m, (3, 4), "first")) - full) < 1e-10
-
-
-def test_partial_trace_shape_mismatch():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(6), (2, 2), "first")
-
-
 # --- uniform subspace sampling ------------------------------------------------
 
 
@@ -684,8 +651,9 @@ def test_moment_sigma_is_the_predicted_rms():
     partial(verify_mean_projector, code_projector(get_code("five13")), 2),
     partial(verify_mean_projector, code_projector(get_code("c422")), 4),
     partial(verify_fourth_moment, 2), partial(verify_fourth_moment, 4),
-    partial(verify_fourth_moment, 8)],
-    ids=["five13", "c422", "fourth-K2", "fourth-K4", "fourth-K8"])
+    partial(verify_fourth_moment, 8), partial(verify_fourth_moment, 64)],
+    ids=["five13", "c422", "fourth-K2", "fourth-K4", "fourth-K8",
+         "fourth-K64"])
 def test_one_sample_lies_exactly_sigma_away(check):
     # ||X - target||_F^2 is the same for every pure-state sample X, so one
     # sample's deviation is the predicted rms itself.
@@ -831,15 +799,16 @@ def test_gaussian_groups_follow_the_block_stream(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
 def test_hermitian_coordinates_give_the_outer_products(dim):
-    # vec(conj(u) u^T) = B q for the unitary frame B; a missing sqrt2 or a
-    # wrong pair order breaks either identity.
-    frame = _hermitian_frame(dim)
-    assert np.max(np.abs(frame.conj().T @ frame - np.eye(dim * dim))) < 1e-15
+    # The coordinates q_i of H_i = conj(u_i) u_i^T are an isometric image of
+    # vec(H_i): q_i . q_j = Tr(H_i H_j) = |<u_i, u_j>|^2.  Their K diagonal
+    # entries |u_a|^2 sum to 1.  A missing sqrt2 breaks the first identity.
     g = _rng(dim).standard_normal((2, dim, 300))
     u = g[0] + 1j * g[1]
     u /= np.linalg.norm(u, axis=0)
-    outer = (u.conj()[:, None] * u).reshape(dim * dim, -1)
-    assert np.max(np.abs(frame @ _hermitian_coordinates(g) - outer)) < 1e-15
+    q = _hermitian_coordinates(g)
+    assert q.shape == (dim * dim, 300)
+    assert np.max(np.abs(q.T @ q - np.abs(u.conj().T @ u) ** 2)) < 1e-14
+    assert np.max(np.abs(q[:dim].sum(axis=0) - 1)) < 1e-14
 
 
 def _traced_peak(fn, *args) -> int:
@@ -868,6 +837,10 @@ def test_mean_projector_memory_is_bounded():
 
 def test_fourth_moment_memory_is_bounded():
     assert _traced_peak(verify_fourth_moment, 16, 2000, _rng(14)) < 16 * MiB
+    # K = 64, the k = n edge of the default cap: the K^4 float64 accumulator
+    # and one run's product, with no complex K^4 temporary.
+    k = 64
+    assert _traced_peak(verify_fourth_moment, k, 1, _rng(14)) < 2.5 * k**4 * 8
 
 
 def test_nonstab_mc_memory_is_bounded():
